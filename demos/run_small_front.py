@@ -31,16 +31,17 @@ def evaluator(genome):
 print(f"optimizing {2 * params.H} decision variables, "
       f"population {config.population_size}, {config.max_iterations} iterations")
 archive = evolve(config, evaluator, params.H, np.random.default_rng(config.rng_seed))
-rows = archive.objective_rows()
+rows = archive.objectives
 print(f"front size: {len(archive)}")
 print(f"peak-warming range: {rows[:, 1].min():.3f} .. {rows[:, 1].max():.3f} degC")
 print()
 
 print("representatives, hottest (best welfare) to coolest:")
 print(f"{'name':>5} {'welfare':>14} {'peak T_AT':>11} {'mean mu':>9} {'mean s':>8}")
-for label, member in select_representatives(archive, 6):
-    policy = PolicyMatrix.from_genome(member.genome)
-    print(f"{label:>5} {member.objectives.W:>14.1f} {member.objectives.T_max:>11.4f}"
+for label, row in select_representatives(archive, 6):
+    policy = PolicyMatrix.from_genome(archive.genomes[row])
+    w, t_max = rows[row]
+    print(f"{label:>5} {w:>14.1f} {t_max:>11.4f}"
           f" {policy.mu.mean():>9.3f} {policy.s.mean():>8.3f}")
 
 print()

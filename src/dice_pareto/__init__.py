@@ -26,7 +26,6 @@ from .model import (
 from .nsga2 import (
     EngineConfig,
     FrontArchive,
-    Individual,
     crossover,
     crowding_distance,
     dominates,
@@ -55,7 +54,6 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "FrontArchive",
-    "Individual",
     "ModelDomainError",
     "ModelParams",
     "ObjectivePair",

@@ -31,7 +31,7 @@ from .harness import (
     run_experiment,
     select_representatives,
 )
-from .model import PolicyMatrix, evaluate_policy, simulate
+from .model import PolicyMatrix, simulate, t_at_max, welfare
 
 SEED_ENV_VAR = "DICE_PARETO_SEED"
 
@@ -71,8 +71,6 @@ def _build_parser() -> _Parser:
     opt.add_argument("--iterations", type=int, help="override engine iterations")
     opt.add_argument("--population", type=int, help="override population size")
     opt.add_argument("--representatives", type=int, help="how many named solutions to pick")
-    opt.add_argument("--workers", type=int, default=1,
-                     help="threads for objective evaluation (results are identical)")
 
     rep = sub.add_parser("report", help="rebuild the comparison table from a stored front")
     rep.add_argument("--config", help="JSON config file")
@@ -138,13 +136,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     policy = _policy_from_args(args, cfg.model.H)
     traj = simulate(policy, cfg.model)
-    objectives = evaluate_policy(policy, cfg.model)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "trajectory.csv"
     target.write_text(format_trajectory_csv(traj, policy))
-    print(f"W = {objectives.W:.6f}")
-    print(f"T_AT_max = {objectives.T_max:.6f}")
+    print(f"W = {welfare(traj):.6f}")
+    print(f"T_AT_max = {t_at_max(traj):.6f}")
     print(f"trajectory written to {target}")
     return EXIT_OK
 
@@ -157,9 +154,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.population is not None:
         engine_overrides["population_size"] = args.population
     cfg.engine = dataclasses.replace(cfg.engine, **engine_overrides)
-    report = run_experiment(cfg, workers=max(1, args.workers))
+    report = run_experiment(cfg)
     persist_report(report, cfg.output_dir)
-    rows = report.archive.objective_rows()
+    rows = report.archive.objectives
     print(f"front size = {len(report.archive)}")
     print(f"T_AT_max range = [{rows[:, 1].min():.6f}, {rows[:, 1].max():.6f}]")
     print(f"W range = [{rows[:, 0].min():.6f}, {rows[:, 0].max():.6f}]")
@@ -172,7 +169,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     front_path = Path(cfg.output_dir) / FRONT_FILE
     archive = load_front(front_path)
     named = select_representatives(archive, cfg.representative_count)
-    rows = compare_reference(named, cfg.reference_points)
+    rows = compare_reference([(label, archive.objectives[row]) for label, row in named],
+                             cfg.reference_points)
     text = format_comparison_csv(rows)
     target = Path(cfg.output_dir) / COMPARISON_FILE
     target.write_text(text)

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .model import ObjectivePair, PolicyMatrix, Trajectory, evaluate_policy, simulate
-from .nsga2 import EngineConfig, FrontArchive, Individual, evolve
+from .nsga2 import EngineConfig, FrontArchive, evolve
 from .params import ModelParams
 
 FRONT_FILE = "front.csv"
@@ -80,7 +80,7 @@ class RunConfig:
 @dataclass
 class RunReport:
     archive: FrontArchive
-    representatives: list[tuple[str, Individual, Trajectory]]
+    representatives: list[tuple[str, int, Trajectory]]  # label, archive row, trajectory
     comparison: list[dict[str, Any]]
     metadata: dict[str, Any]
 
@@ -149,7 +149,7 @@ def _parse_reference_points(raw: Any) -> tuple[ReferencePoint, ...]:
     return tuple(points)
 
 
-def run_experiment(cfg: RunConfig, workers: int = 1) -> RunReport:
+def run_experiment(cfg: RunConfig) -> RunReport:
     """Optimize, pick representatives, simulate them, and assemble the report.
 
     Deterministic for a fixed seed: the archive, representative labels, and
@@ -162,15 +162,16 @@ def run_experiment(cfg: RunConfig, workers: int = 1) -> RunReport:
         return evaluate_policy(PolicyMatrix.from_genome(genome), model)
 
     started = time.perf_counter()
-    archive = evolve(cfg.engine, evaluator, model.H, rng, workers=workers)
+    archive = evolve(cfg.engine, evaluator, model.H, rng)
     elapsed = time.perf_counter() - started
 
     named = select_representatives(archive, cfg.representative_count)
     representatives = [
-        (label, ind, simulate(PolicyMatrix.from_genome(ind.genome), model))
-        for label, ind in named
+        (label, row, simulate(PolicyMatrix.from_genome(archive.genomes[row]), model))
+        for label, row in named
     ]
-    comparison = compare_reference(named, cfg.reference_points)
+    comparison = compare_reference(
+        [(label, archive.objectives[row]) for label, row in named], cfg.reference_points)
     metadata = {
         "seed": cfg.engine.rng_seed,
         "population_size": cfg.engine.population_size,
@@ -196,62 +197,58 @@ def _labels(count: int) -> list[str]:
     return [letters[k % len(letters)] + str(k // len(letters)) for k in range(count)]
 
 
-def select_representatives(
-    archive: FrontArchive, k: int
-) -> list[tuple[str, Individual]]:
-    """Pick k archive members at equal temperature spacing.
+def select_representatives(archive: FrontArchive, k: int) -> list[tuple[str, int]]:
+    """Pick k archive rows at equal temperature spacing, as (label, row) pairs.
 
     Targets run from the archive's highest T_max down to its lowest; each
-    target takes the nearest not-yet-chosen member (ties: higher W, then
+    target takes the nearest not-yet-chosen row (ties: higher W, then
     archive order). Labels go A (highest temperature) downward. An archive
     smaller than k is returned whole, labeled the same way.
     """
-    if len(archive) == 0:
+    n = len(archive)
+    if n == 0:
         raise ConfigError("cannot select representatives from an empty archive")
-    members = list(archive.members)  # sorted by T_max ascending
-    if len(members) <= k:
-        chosen = list(reversed(members))
-        return list(zip(_labels(len(chosen)), chosen))
-    t_values = np.array([ind.objectives.T_max for ind in members])
-    targets = np.linspace(t_values[-1], t_values[0], k)
+    if n <= k:  # rows are sorted by T_max ascending
+        return list(zip(_labels(n), reversed(range(n))))
+    w = archive.objectives[:, 0]
+    t = archive.objectives[:, 1]
+    targets = np.linspace(t[-1], t[0], k)
     taken: set[int] = set()
     chosen = []
     for target in targets:
         best_idx = None
         best_key = None
-        for idx, ind in enumerate(members):
+        for idx in range(n):
             if idx in taken:
                 continue
-            key = (abs(ind.objectives.T_max - target), -ind.objectives.W, idx)
+            key = (abs(t[idx] - target), -w[idx], idx)
             if best_key is None or key < best_key:
                 best_key = key
                 best_idx = idx
         taken.add(best_idx)
-        chosen.append(members[best_idx])
+        chosen.append(best_idx)
     return list(zip(_labels(k), chosen))
 
 
 def compare_reference(
-    representatives: Sequence[tuple[str, Individual]],
+    representatives: Sequence[tuple[str, Sequence[float]]],
     reference_points: Sequence[ReferencePoint],
 ) -> list[dict[str, Any]]:
-    """Build comparison rows, sorted by W descending.
+    """Build comparison rows from (label, (W, T_max)) pairs, sorted by W descending.
 
     Every representative and every reference point becomes a row; each row
     carries (W - W_ref) and (T_max - T_ref) against every reference point.
     """
     if not representatives or not reference_points:
         raise ConfigError("comparison needs at least one representative and one reference")
-    entries: list[tuple[str, ObjectivePair]] = [
-        (label, ind.objectives) for label, ind in representatives
-    ]
+    entries = list(representatives)
     entries.extend((rp.name, rp.objectives) for rp in reference_points)
     rows = []
-    for name, objectives in entries:
-        row: dict[str, Any] = {"name": name, "W": objectives.W, "T_max": objectives.T_max}
+    for name, (w, t) in entries:
+        row: dict[str, Any] = {"name": name, "W": w, "T_max": t}
         for rp in reference_points:
-            row[f"dW_{rp.name}"] = objectives.W - rp.objectives.W
-            row[f"dT_{rp.name}"] = objectives.T_max - rp.objectives.T_max
+            row[f"dW_{rp.name}"] = w - rp.objectives.W
+            row[f"dT_{rp.name}"] = t - rp.objectives.T_max
         rows.append(row)
     rows.sort(key=lambda r: -r["W"])
     return rows
@@ -280,10 +277,10 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     created: list[Path] = []
     try:
         _write_text(out / FRONT_FILE, format_front_csv(report.archive), created)
-        for label, ind, traj in report.representatives:
+        for label, row, traj in report.representatives:
+            policy = PolicyMatrix.from_genome(report.archive.genomes[row])
             _write_text(out / f"trajectory_{label}.csv",
-                        format_trajectory_csv(traj, PolicyMatrix.from_genome(ind.genome)),
-                        created)
+                        format_trajectory_csv(traj, policy), created)
         _write_text(out / COMPARISON_FILE, format_comparison_csv(report.comparison), created)
         _write_text(out / METADATA_FILE,
                     json.dumps(report.metadata, indent=2, sort_keys=True) + "\n", created)
@@ -297,15 +294,13 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
 def format_front_csv(archive: FrontArchive) -> str:
     if len(archive) == 0:
         raise ConfigError("archive is empty, nothing to persist")
-    horizon = archive.members[0].genome.shape[0] // 2
+    horizon = archive.genomes.shape[1] // 2
     header = ["W", "T_max"]
     header += [f"mu_{i}" for i in range(horizon)]
     header += [f"s_{i}" for i in range(horizon)]
     lines = [",".join(header)]
-    for ind in archive.members:
-        cells = [_fmt(ind.objectives.W), _fmt(ind.objectives.T_max)]
-        cells += [_fmt(g) for g in ind.genome]
-        lines.append(",".join(cells))
+    for row in np.hstack((archive.objectives, archive.genomes)):
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -342,30 +337,35 @@ def format_comparison_csv(rows: Sequence[dict[str, Any]]) -> str:
 
 
 def load_front(path: str | Path) -> FrontArchive:
-    """Read a front file back into an archive (objectives and genomes)."""
+    """Read a front file back into an archive (objectives and genomes).
+
+    Rows are sorted by (T_max, -W); a row with a missing, extra, non-numeric
+    or non-finite cell is rejected with its line number.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"front file not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [(number, ln) for number, ln in enumerate(path.read_text().splitlines(), 1)
+             if ln.strip()]
     if len(lines) < 2:
         raise ConfigError(f"front file {path} contains no solutions")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[:2] != ["W", "T_max"] or (len(header) - 2) % 2 != 0:
         raise ConfigError(f"front file {path} has an unexpected header")
-    members = []
-    for ln in lines[1:]:
-        cells = [float(c) for c in ln.split(",")]
+    table = np.empty((len(lines) - 1, len(header)))
+    for k, (number, ln) in enumerate(lines[1:]):
+        cells = ln.split(",")
         if len(cells) != len(header):
-            raise ConfigError(f"front file {path} has a malformed row: {ln!r}")
-        genome = np.array(cells[2:])
-        genome.flags.writeable = False
-        members.append(Individual(
-            genome=genome,
-            objectives=ObjectivePair(W=cells[0], T_max=cells[1]),
-            rank=1,
-        ))
-    members.sort(key=lambda ind: (ind.objectives.T_max, -ind.objectives.W))
-    return FrontArchive(members=tuple(members))
+            raise ConfigError(f"{path}:{number}: malformed row with {len(cells)} cells, "
+                              f"the header has {len(header)}")
+        try:
+            table[k] = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{number}: non-numeric cell: {exc}") from None
+        if not np.isfinite(table[k]).all():
+            raise ConfigError(f"{path}:{number}: non-finite value in row")
+    table = table[np.lexsort((-table[:, 0], table[:, 1]))]
+    return FrontArchive(genomes=table[:, 2:], objectives=table[:, :2])
 
 
 def config_hash(cfg: RunConfig) -> str:

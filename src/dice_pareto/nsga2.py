@@ -10,22 +10,24 @@ order, two tournament selections (two integer draws each) followed by the
 per-gene blend coefficients; then for each mutant in index order, one
 tournament selection followed by the per-gene mask uniforms and the per-gene
 Gaussian noise (both drawn in full regardless of the mask). Objective
-evaluation never touches the generator, so serial and thread-parallel
-evaluation give identical archives.
+evaluation never touches the generator.
+
+The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
+(W, T_max), with per-row rank and crowding arrays carried alongside.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError, EngineError
 from .model import ObjectivePair
+from .params import _checked_fields
 
 Evaluator = Callable[[np.ndarray], ObjectivePair]
 
@@ -46,7 +48,6 @@ class EngineConfig:
     crossover_fraction: float = 0.7  # offspring count as a fraction of the population
     mutant_fraction: float = 0.3     # mutant count as a fraction of the population
     rng_seed: int = 1
-    tournament_size: int = 2         # binary tournaments only
 
     def __post_init__(self) -> None:
         if not (isinstance(self.population_size, int) and self.population_size >= 4
@@ -62,68 +63,30 @@ class EngineConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if not self.mutation_step > 0:
             raise ConfigError(f"mutation_step must be positive, got {self.mutation_step}")
-        if self.tournament_size != 2:
-            raise ConfigError(f"tournament_size is fixed at 2, got {self.tournament_size}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EngineConfig":
         """Build engine settings from a key-value mapping; unknown keys rejected."""
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        if not isinstance(data, dict):
-            raise ConfigError(f"section 'engine' must be a mapping, got {type(data).__name__}")
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in section 'engine': {', '.join(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for key, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"engine.{key} must be a number, got {value!r}")
-            if key in ("population_size", "max_iterations", "rng_seed", "tournament_size"):
-                if float(value) != int(value):
-                    raise ConfigError(f"engine.{key} must be an integer, got {value!r}")
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
+        return cls(**_checked_fields(cls, data, "engine"))
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
 
-@dataclass
-class Individual:
-    """A candidate policy with its scores and NSGA-II bookkeeping."""
-
-    genome: np.ndarray
-    objectives: ObjectivePair | None = None
-    rank: int | None = None      # 1-based front index; 1 = globally non-dominated
-    crowding: float = 0.0
-
-    @property
-    def min_objectives(self) -> tuple[float, float]:
-        """Objectives in minimization form: (-W, T_max)."""
-        if self.objectives is None:
-            raise EngineError("individual has no objectives yet")
-        return (-self.objectives.W, self.objectives.T_max)
-
-
 @dataclass(frozen=True)
 class FrontArchive:
-    """Rank-1 individuals of a final population, sorted by T_max ascending.
+    """Rank-1 rows of a final population, sorted by T_max ascending.
 
     Exact duplicates in objective space are dropped (within rank 1 a tie in
     T_max forces a tie in W, otherwise one would dominate the other), making
     the sort order strict.
     """
 
-    members: tuple[Individual, ...] = field(default_factory=tuple)
+    genomes: np.ndarray      # (n, 2H)
+    objectives: np.ndarray   # (n, 2) of (W, T_max)
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def objective_rows(self) -> np.ndarray:
-        """(n, 2) array of (W, T_max) rows in archive order."""
-        return np.array([ind.objectives for ind in self.members], dtype=float)
+        return len(self.objectives)
 
 
 def dominates(a: ObjectivePair, b: ObjectivePair) -> bool:
@@ -136,48 +99,42 @@ def dominates(a: ObjectivePair, b: ObjectivePair) -> bool:
     return a.W > b.W or a.T_max < b.T_max
 
 
-def non_dominated_sort(population: Sequence[Individual]) -> list[list[int]]:
-    """Partition the population into fronts; 1-based ranks are written back.
+def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
+    """1-based front rank of each row of an (n, 2) table of (W, T_max).
 
-    Front k (list index k-1) is non-dominated within the union of fronts
-    k..end; the first front is globally non-dominated.
+    Front k is non-dominated within the union of fronts k..end; rank 1 is
+    globally non-dominated.
     """
-    n = len(population)
-    if n == 0:
-        return []
-    f = np.array([ind.min_objectives for ind in population], dtype=float)
-    f1 = f[:, 0]
-    f2 = f[:, 1]
-    weakly = (f1[:, None] <= f1[None, :]) & (f2[:, None] <= f2[None, :])
-    strictly = (f1[:, None] < f1[None, :]) | (f2[:, None] < f2[None, :])
+    w = objectives[:, 0]
+    t = objectives[:, 1]
+    weakly = (w[:, None] >= w[None, :]) & (t[:, None] <= t[None, :])
+    strictly = (w[:, None] > w[None, :]) | (t[:, None] < t[None, :])
     dom = weakly & strictly  # dom[p, q]: p dominates q
     dominator_count = dom.sum(axis=0)
-    alive = np.ones(n, dtype=bool)
-    fronts: list[list[int]] = []
-    while alive.any():
-        current = alive & (dominator_count == 0)
-        members = np.flatnonzero(current)
-        rank = len(fronts) + 1
-        for idx in members:
-            population[idx].rank = rank
-        fronts.append([int(idx) for idx in members])
-        alive &= ~current
+    rank = np.zeros(len(objectives), dtype=int)
+    front = 0
+    while not rank.all():
+        front += 1
+        current = (rank == 0) & (dominator_count == 0)
+        rank[current] = front
         dominator_count = dominator_count - dom[current].sum(axis=0)
-    return fronts
+    return rank
 
 
-def crowding_distance(front: Sequence[Individual]) -> np.ndarray:
-    """Per-objective normalized neighbor gaps, summed over both objectives.
+def crowding_distance(objectives: np.ndarray) -> np.ndarray:
+    """Per-objective normalized neighbor gaps of one front, summed over both objectives.
 
-    Boundary individuals of each objective get +inf; an objective with zero
-    range contributes nothing to interior members.
+    Boundary rows of each objective get +inf; an objective with zero range
+    contributes nothing to interior rows.
     """
-    m = len(front)
+    m = len(objectives)
     if m == 0:
         return np.zeros(0)
     if m <= 2:
         return np.full(m, np.inf)
-    f = np.array([ind.min_objectives for ind in front], dtype=float)
+    # Minimization form (-W, T_max): the stable sort's tie order, and so which
+    # of several tied rows becomes a boundary, follows from it.
+    f = np.column_stack((-objectives[:, 0], objectives[:, 1]))
     d = np.zeros(m)
     for obj in range(f.shape[1]):
         order = np.argsort(f[:, obj], kind="stable")
@@ -190,22 +147,21 @@ def crowding_distance(front: Sequence[Individual]) -> np.ndarray:
     return d
 
 
-def tournament_select(population: Sequence[Individual], rng: np.random.Generator) -> int:
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
+) -> int:
     """Binary tournament: lower rank wins, then larger crowding, then first drawn."""
-    n = len(population)
+    n = len(rank)
     if n < 2:
         raise EngineError(f"tournament needs at least 2 individuals, got {n}")
     i = int(rng.integers(n))
     j = int(rng.integers(n - 1))
     if j >= i:
         j += 1
-    a, b = population[i], population[j]
-    if a.rank is None or b.rank is None:
-        raise EngineError("tournament requires ranked individuals")
-    if a.rank != b.rank:
-        return i if a.rank < b.rank else j
-    if a.crowding != b.crowding:
-        return i if a.crowding > b.crowding else j
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
     return i
 
 
@@ -239,70 +195,57 @@ def mutate(genome: np.ndarray, rng: np.random.Generator, cfg: EngineConfig) -> n
 
 def initialize_population(
     cfg: EngineConfig, horizon: int, rng: np.random.Generator
-) -> list[Individual]:
-    """Constant-input seeding: each genome is one mitigation level u repeated
-    over the horizon followed by one saving level v repeated over the horizon,
-    with u, v drawn uniformly from [0, 1]."""
-    population: list[Individual] = []
-    for _ in range(cfg.population_size):
-        u = rng.random()
-        v = rng.random()
-        genome = np.empty(2 * horizon)
-        genome[:horizon] = u
-        genome[horizon:] = v
-        genome.flags.writeable = False
-        population.append(Individual(genome=genome))
-    return population
+) -> np.ndarray:
+    """Constant-input seeding: each (N, 2H) row is one mitigation level u
+    repeated over the horizon followed by one saving level v repeated over the
+    horizon, with u, v drawn uniformly from [0, 1], u before v, row by row."""
+    return np.repeat(rng.random((cfg.population_size, 2)), horizon, axis=1)
 
 
-def _evaluate_pending(
-    individuals: Iterable[Individual], evaluator: Evaluator, workers: int
-) -> None:
-    """Score every unevaluated individual, in list order, serially or on threads."""
-    pending = [ind for ind in individuals if ind.objectives is None]
-    if not pending:
-        return
-
-    def safe_eval(genome: np.ndarray) -> ObjectivePair:
+def _evaluate(genomes: np.ndarray, evaluator: Evaluator) -> np.ndarray:
+    """(n, 2) table of (W, T_max), one evaluator call per genome in row order."""
+    genomes.flags.writeable = False  # the evaluator gets read-only rows
+    objectives = np.empty((len(genomes), 2))
+    for k, genome in enumerate(genomes):
         try:
-            return evaluator(genome)
+            objectives[k] = evaluator(genome)
         except Exception as exc:
-            raise EngineError(
-                f"policy evaluation failed for genome {json.dumps(genome.tolist())}: {exc}"
-            ) from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe_eval, (ind.genome for ind in pending)))
-    else:
-        results = [safe_eval(ind.genome) for ind in pending]
-    for ind, objectives in zip(pending, results):
-        ind.objectives = ObjectivePair(*objectives)
+            raise _evaluation_error(genome, exc) from exc
+    bad = np.flatnonzero(~np.isfinite(objectives).all(axis=1))
+    if len(bad):
+        raise _evaluation_error(
+            genomes[bad[0]], f"non-finite objectives {objectives[bad[0]].tolist()}")
+    return objectives
 
 
-def _rank_and_crowd(population: Sequence[Individual]) -> list[list[int]]:
-    fronts = non_dominated_sort(population)
-    for front_indices in fronts:
-        members = [population[idx] for idx in front_indices]
-        for idx, dist in zip(front_indices, crowding_distance(members)):
-            population[idx].crowding = float(dist)
-    return fronts
+def _evaluation_error(genome: np.ndarray, reason: object) -> EngineError:
+    return EngineError(
+        f"policy evaluation failed for genome {json.dumps(genome.tolist())}: {reason}")
 
 
-def _truncate(
-    population: list[Individual], fronts: list[list[int]], target: int
-) -> list[Individual]:
-    """Keep whole fronts while they fit; cut the overflowing front by crowding."""
-    keep: list[int] = []
-    for front_indices in fronts:
-        if len(keep) + len(front_indices) <= target:
-            keep.extend(front_indices)
-        else:
-            by_crowding = sorted(
-                front_indices, key=lambda idx: -population[idx].crowding)
-            keep.extend(by_crowding[: target - len(keep)])
-            break
-    return [population[idx] for idx in keep]
+def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rank = non_dominated_sort(objectives)
+    crowding = np.empty(len(rank))
+    for front in range(1, rank.max() + 1):
+        members = np.flatnonzero(rank == front)
+        crowding[members] = crowding_distance(objectives[members])
+    return rank, crowding
+
+
+def _survivors(rank: np.ndarray, crowding: np.ndarray, target: int) -> np.ndarray:
+    """Row indices of the next population, in order.
+
+    Whole fronts are kept while they fit, each in ascending row order; the
+    overflowing front is cut by descending crowding, ties in row order.
+    """
+    order = np.argsort(rank, kind="stable")
+    if len(order) <= target:
+        return order
+    cut_rank = rank[order[target]]
+    whole = order[rank[order] < cut_rank]
+    cut = np.flatnonzero(rank == cut_rank)
+    cut = cut[np.argsort(-crowding[cut], kind="stable")]
+    return np.concatenate((whole, cut[: target - len(whole)]))
 
 
 def _even_count(fraction: float, population_size: int) -> int:
@@ -314,7 +257,6 @@ def evolve(
     evaluator: Evaluator,
     horizon: int,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> FrontArchive:
     """Run the evolutionary loop and return the final first front.
 
@@ -323,45 +265,38 @@ def evolve(
     mutants by tournament selection plus Gaussian mutation
     (mutant_fraction * N); new individuals are evaluated, merged with the
     parents, re-sorted, and the best N survive (lower rank first, larger
-    crowding within the cut front). Deterministic for a fixed seed; workers
-    only parallelizes evaluation.
+    crowding within the cut front). Deterministic for a fixed seed.
     """
-    population = initialize_population(cfg, horizon, rng)
-    _evaluate_pending(population, evaluator, workers)
-    _rank_and_crowd(population)
+    genomes = initialize_population(cfg, horizon, rng)
+    objectives = _evaluate(genomes, evaluator)
+    rank, crowding = _rank_and_crowd(objectives)
 
     n_offspring = _even_count(cfg.crossover_fraction, cfg.population_size)
     n_mutants = round(cfg.mutant_fraction * cfg.population_size)
     for _ in range(cfg.max_iterations):
-        newborn: list[Individual] = []
-        for _ in range(n_offspring // 2):
-            idx_a = tournament_select(population, rng)
-            idx_b = tournament_select(population, rng)
-            child_a, child_b = crossover(
-                population[idx_a].genome, population[idx_b].genome, rng)
-            newborn.append(Individual(genome=child_a))
-            newborn.append(Individual(genome=child_b))
-        for _ in range(n_mutants):
-            idx = tournament_select(population, rng)
-            newborn.append(Individual(genome=mutate(population[idx].genome, rng, cfg)))
-        _evaluate_pending(newborn, evaluator, workers)
-        merged = list(population) + newborn
-        fronts = _rank_and_crowd(merged)
-        population = _truncate(merged, fronts, cfg.population_size)
+        children = np.empty((n_offspring + n_mutants, genomes.shape[1]))
+        for k in range(0, n_offspring, 2):
+            idx_a = tournament_select(rank, crowding, rng)
+            idx_b = tournament_select(rank, crowding, rng)
+            children[k], children[k + 1] = crossover(genomes[idx_a], genomes[idx_b], rng)
+        for k in range(n_offspring, len(children)):
+            idx = tournament_select(rank, crowding, rng)
+            children[k] = mutate(genomes[idx], rng, cfg)
+        genomes = np.concatenate((genomes, children))
+        objectives = np.concatenate((objectives, _evaluate(children, evaluator)))
+        rank, crowding = _rank_and_crowd(objectives)
+        keep = _survivors(rank, crowding, cfg.population_size)
+        genomes, objectives = genomes[keep], objectives[keep]
+        rank, crowding = rank[keep], crowding[keep]
 
-    fronts = _rank_and_crowd(population)
-    first_front = [population[idx] for idx in fronts[0]] if fronts else []
-    return _build_archive(first_front)
+    first = non_dominated_sort(objectives) == 1
+    return _build_archive(genomes[first], objectives[first])
 
 
-def _build_archive(first_front: Sequence[Individual]) -> FrontArchive:
-    """Sort rank-1 members by (T_max, -W) and drop exact objective duplicates."""
-    ordered = sorted(first_front, key=lambda ind: (ind.objectives.T_max, -ind.objectives.W))
-    unique: list[Individual] = []
-    seen: set[tuple[float, float]] = set()
-    for ind in ordered:
-        key = (ind.objectives.W, ind.objectives.T_max)
-        if key not in seen:
-            seen.add(key)
-            unique.append(ind)
-    return FrontArchive(members=tuple(unique))
+def _build_archive(genomes: np.ndarray, objectives: np.ndarray) -> FrontArchive:
+    """Sort rank-1 rows by (T_max, -W) and drop exact objective duplicates."""
+    order = np.lexsort((-objectives[:, 0], objectives[:, 1]))
+    genomes, objectives = genomes[order], objectives[order]
+    fresh = np.ones(len(objectives), dtype=bool)
+    fresh[1:] = (objectives[1:] != objectives[:-1]).any(axis=1)
+    return FrontArchive(genomes=genomes[fresh], objectives=objectives[fresh])

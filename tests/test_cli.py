@@ -150,13 +150,6 @@ class TestOptimize:
         assert run_cli("optimize", "--config", tiny_cfg, "--out", str(blocker)) == 2
         assert "occupied" in capsys.readouterr().err
 
-    def test_workers_do_not_change_results(self, tmp_path, tiny_cfg):
-        out_a, out_b = tmp_path / "w1", tmp_path / "w4"
-        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out_a)) == 0
-        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out_b),
-                       "--workers", "4") == 0
-        assert (out_a / "front.csv").read_bytes() == (out_b / "front.csv").read_bytes()
-
 
 class TestReport:
     def test_report_from_stored_run(self, tmp_path, tiny_cfg, capsys):
@@ -188,6 +181,17 @@ class TestReport:
         out.mkdir()
         (out / "front.csv").write_text("W,T_max,mu_0,s_0\n")
         assert run_cli("report", "--out", str(out)) != 0
+
+    @pytest.mark.parametrize("bad_row", ["1.5,abc,0.5,0.5", "nan,2.0,0.5,0.5"])
+    def test_bad_front_row_is_usage_error_naming_the_line(self, tmp_path, capsys, bad_row):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "front.csv").write_text(f"W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n{bad_row}\n")
+        assert run_cli("report", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "front.csv:3:" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "comparison.csv").exists()
 
 
 class TestDispatch:

@@ -11,7 +11,6 @@ from dice_pareto import (
     ConfigError,
     EngineConfig,
     FrontArchive,
-    Individual,
     ModelParams,
     ObjectivePair,
     PolicyMatrix,
@@ -41,12 +40,13 @@ PUBLISHED_SOLUTIONS = {
 
 
 def make_archive(pairs, horizon=3):
-    members = [
-        Individual(genome=np.zeros(2 * horizon), objectives=ObjectivePair(*wt), rank=1)
-        for wt in pairs
-    ]
-    members.sort(key=lambda m: (m.objectives.T_max, -m.objectives.W))
-    return FrontArchive(members=tuple(members))
+    objectives = np.array(sorted(pairs, key=lambda wt: (wt[1], -wt[0])), dtype=float)
+    return FrontArchive(genomes=np.zeros((len(objectives), 2 * horizon)), objectives=objectives)
+
+
+def named_objectives(archive, named):
+    """(label, ObjectivePair) for each (label, row) that select_representatives returns."""
+    return [(label, ObjectivePair(*archive.objectives[row])) for label, row in named]
 
 
 class TestLoadConfig:
@@ -117,23 +117,23 @@ class TestLoadConfig:
 class TestSelectRepresentatives:
     def test_two_targets_pick_the_extremes(self):
         archive = make_archive(PUBLISHED_SOLUTIONS.values())
-        named = select_representatives(archive, 2)
+        named = named_objectives(archive, select_representatives(archive, 2))
         assert [label for label, _ in named] == ["A", "B"]
-        assert named[0][1].objectives.T_max == 4.5380
-        assert named[1][1].objectives.T_max == 2.3768
+        assert named[0][1].T_max == 4.5380
+        assert named[1][1].T_max == 2.3768
 
     def test_six_targets_recover_all_published_solutions(self):
         archive = make_archive(PUBLISHED_SOLUTIONS.values())
-        named = select_representatives(archive, 6)
+        named = named_objectives(archive, select_representatives(archive, 6))
         assert [label for label, _ in named] == list("ABCDEF")
-        for label, member in named:
-            assert member.objectives == ObjectivePair(*PUBLISHED_SOLUTIONS[label])
+        for label, objectives in named:
+            assert objectives == ObjectivePair(*PUBLISHED_SOLUTIONS[label])
 
     def test_archive_of_exactly_k_returns_everyone(self):
         archive = make_archive([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
-        named = select_representatives(archive, 3)
+        named = named_objectives(archive, select_representatives(archive, 3))
         assert [label for label, _ in named] == ["A", "B", "C"]
-        assert [m.objectives.T_max for _, m in named] == [3.0, 2.0, 1.0]
+        assert [objectives.T_max for _, objectives in named] == [3.0, 2.0, 1.0]
 
     def test_archive_smaller_than_k_returns_entire_archive(self):
         archive = make_archive([(1.0, 1.0), (2.0, 2.0)])
@@ -144,15 +144,15 @@ class TestSelectRepresentatives:
         rng = np.random.default_rng(0)
         pairs = [(float(w), float(t)) for w, t in zip(rng.random(20), rng.random(20))]
         archive = make_archive(pairs)
-        named = select_representatives(archive, 4)
-        temps = [m.objectives.T_max for _, m in named]
+        named = named_objectives(archive, select_representatives(archive, 4))
+        temps = [objectives.T_max for _, objectives in named]
         assert temps == sorted(temps, reverse=True)
 
 
 class TestCompareReference:
     def test_published_deltas(self):
         archive = make_archive(PUBLISHED_SOLUTIONS.values())
-        named = select_representatives(archive, 6)
+        named = named_objectives(archive, select_representatives(archive, 6))
         rows = compare_reference(named, [MPC])
         by_name = {row["name"]: row for row in rows}
         assert by_name["D"]["dW_MPC"] == pytest.approx(-0.0077, abs=5e-5)
@@ -162,7 +162,7 @@ class TestCompareReference:
 
     def test_reference_compared_to_itself_is_zero(self):
         archive = make_archive([(1.0, 1.0)])
-        named = select_representatives(archive, 2)
+        named = named_objectives(archive, select_representatives(archive, 2))
         rows = compare_reference(named, [MPC])
         mpc_row = next(r for r in rows if r["name"] == "MPC")
         assert mpc_row["dW_MPC"] == 0.0
@@ -170,7 +170,7 @@ class TestCompareReference:
 
     def test_rows_sorted_by_welfare_descending(self):
         archive = make_archive(PUBLISHED_SOLUTIONS.values())
-        named = select_representatives(archive, 6)
+        named = named_objectives(archive, select_representatives(archive, 6))
         rows = compare_reference(named, [MPC])
         assert [r["name"] for r in rows] == ["A", "B", "MPC", "C", "D", "E", "F"]
         w = [r["W"] for r in rows]
@@ -197,8 +197,8 @@ class TestRunExperiment:
         report_a = run_experiment(cfg)
         report_b = run_experiment(tiny_config(tmp_path))
         assert len(report_a.archive) <= cfg.engine.population_size
-        rows_a = report_a.archive.objective_rows()
-        rows_b = report_b.archive.objective_rows()
+        rows_a = report_a.archive.objectives
+        rows_b = report_b.archive.objectives
         assert np.array_equal(rows_a, rows_b)
         assert report_a.metadata["seed"] == 11
         assert report_a.metadata["iterations"] == 3
@@ -207,9 +207,10 @@ class TestRunExperiment:
     def test_representatives_reevaluate_bit_exactly(self, tmp_path):
         cfg = tiny_config(tmp_path)
         report = run_experiment(cfg)
-        for _label, ind, _traj in report.representatives:
-            again = evaluate_policy(PolicyMatrix.from_genome(ind.genome), cfg.model)
-            assert again == ind.objectives
+        archive = report.archive
+        for _label, row, _traj in report.representatives:
+            again = evaluate_policy(PolicyMatrix.from_genome(archive.genomes[row]), cfg.model)
+            assert again == ObjectivePair(*archive.objectives[row])
 
     def test_representative_rows_are_pareto_monotone(self, tmp_path):
         # non-domination makes W and T comonotone: the table reads from the
@@ -237,9 +238,9 @@ class TestPersistence:
 
         loaded = load_front(out / "front.csv")
         assert len(loaded) == len(report.archive)
-        for got, want in zip(loaded.members, report.archive.members):
-            assert got.objectives == want.objectives  # 17 digits round-trip exactly
-            assert np.array_equal(got.genome, want.genome)
+        # 17 digits round-trip exactly
+        assert np.array_equal(loaded.objectives, report.archive.objectives)
+        assert np.array_equal(loaded.genomes, report.archive.genomes)
 
     def test_front_file_is_reproducible_byte_for_byte(self, tmp_path):
         text_a = format_front_csv(run_experiment(tiny_config(tmp_path)).archive)
@@ -270,7 +271,7 @@ class TestPersistence:
         cfg = tiny_config(tmp_path)
         out = tmp_path / "run"
         persist_report(run_experiment(cfg), out)
-        rows = load_front(out / "front.csv").objective_rows()
+        rows = load_front(out / "front.csv").objectives
         for i in range(len(rows)):
             for j in range(len(rows)):
                 if i != j:
@@ -285,6 +286,19 @@ class TestPersistence:
         path = tmp_path / "front.csv"
         path.write_text("W,T_max,mu_0,s_0\n")
         with pytest.raises(ConfigError, match="no solutions"):
+            load_front(path)
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n\n1.5,abc,0.5,0.5\n")
+        with pytest.raises(ConfigError, match=r"front\.csv:4: non-numeric"):
+            load_front(path)
+
+    @pytest.mark.parametrize("row", ["nan,2.0,0.5,0.5", "1.0,inf,0.5,0.5", "1.0,2.0,0.5,-inf"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "front.csv"
+        path.write_text(f"W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n{row}\n")
+        with pytest.raises(ConfigError, match=r"front\.csv:3: non-finite"):
             load_front(path)
 
     def test_config_hash_tracks_content(self, tmp_path):

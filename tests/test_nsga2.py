@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from dice_pareto import (
     ConfigError,
     EngineConfig,
     EngineError,
-    Individual,
     ModelParams,
     ObjectivePair,
     PolicyMatrix,
@@ -25,14 +26,14 @@ from dice_pareto import (
 )
 
 
-def ind(w, t, genome=None):
-    g = np.zeros(2) if genome is None else np.asarray(genome, dtype=float)
-    return Individual(genome=g, objectives=ObjectivePair(W=w, T_max=t))
+def min_rows(*pairs):
+    """(n, 2) table of (W, T_max) whose minimization form (-W, T_max) is exactly *pairs*."""
+    return np.array([(-f1, f2) for f1, f2 in pairs], dtype=float).reshape(-1, 2)
 
 
-def min_ind(f1, f2):
-    """Individual whose minimization-form objectives are exactly (f1, f2)."""
-    return ind(-f1, f2)
+def fronts_of(rank):
+    """Row indices of each front, in rank order, ascending within a front."""
+    return [np.flatnonzero(rank == r).tolist() for r in range(1, rank.max(initial=0) + 1)]
 
 
 class TestDominates:
@@ -67,88 +68,81 @@ class TestDominates:
 
 class TestNonDominatedSort:
     def test_three_point_example(self):
-        pop = [min_ind(1, 1), min_ind(2, 2), min_ind(0, 3)]
-        fronts = non_dominated_sort(pop)
-        assert fronts == [[0, 2], [1]]
-        assert [p.rank for p in pop] == [1, 2, 1]
+        rank = non_dominated_sort(min_rows((1, 1), (2, 2), (0, 3)))
+        assert fronts_of(rank) == [[0, 2], [1]]
+        assert rank.tolist() == [1, 2, 1]
 
     def test_identical_objectives_share_one_front(self):
-        pop = [min_ind(1.5, 2.5) for _ in range(6)]
-        fronts = non_dominated_sort(pop)
-        assert fronts == [list(range(6))]
-        assert all(p.rank == 1 for p in pop)
+        rank = non_dominated_sort(min_rows(*[(1.5, 2.5)] * 6))
+        assert fronts_of(rank) == [list(range(6))]
+        assert rank.tolist() == [1] * 6
 
     def test_chain_gives_singleton_fronts(self):
-        pop = [min_ind(3, 3), min_ind(1, 1), min_ind(2, 2)]
-        fronts = non_dominated_sort(pop)
-        assert fronts == [[1], [2], [0]]
-        assert [p.rank for p in pop] == [3, 1, 2]
+        rank = non_dominated_sort(min_rows((3, 3), (1, 1), (2, 2)))
+        assert fronts_of(rank) == [[1], [2], [0]]
+        assert rank.tolist() == [3, 1, 2]
 
     def test_empty_population(self):
-        assert non_dominated_sort([]) == []
+        assert non_dominated_sort(min_rows()).tolist() == []
 
     def test_front_k_nondominated_within_suffix(self):
         rng = np.random.default_rng(5)
-        pop = [min_ind(*rng.random(2)) for _ in range(40)]
-        fronts = non_dominated_sort(pop)
+        objectives = min_rows(*rng.random((40, 2)))
+        fronts = fronts_of(non_dominated_sort(objectives))
+        pairs = [ObjectivePair(*row) for row in objectives]
         assert sorted(i for f in fronts for i in f) == list(range(40))
         for k, front in enumerate(fronts):
             suffix = [i for f in fronts[k:] for i in f]
             for q in front:
                 assert not any(
-                    dominates(pop[p].objectives, pop[q].objectives)
+                    dominates(pairs[p], pairs[q])
                     for p in suffix if p != q)
 
 
 class TestCrowding:
     def test_small_fronts_are_all_infinite(self):
-        assert np.all(np.isinf(crowding_distance([min_ind(0, 1)])))
-        assert np.all(np.isinf(crowding_distance([min_ind(0, 1), min_ind(1, 0)])))
+        assert np.all(np.isinf(crowding_distance(min_rows((0, 1)))))
+        assert np.all(np.isinf(crowding_distance(min_rows((0, 1), (1, 0)))))
 
     def test_hand_computed_middle_distance(self):
-        front = [min_ind(0.0, 1.0), min_ind(0.5, 0.5), min_ind(1.0, 0.0)]
-        d = crowding_distance(front)
+        d = crowding_distance(min_rows((0.0, 1.0), (0.5, 0.5), (1.0, 0.0)))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == 2.0
 
     def test_zero_range_axis_stays_finite(self):
-        front = [min_ind(0.0, 5.0), min_ind(0.5, 5.0), min_ind(1.0, 5.0)]
-        d = crowding_distance(front)
+        d = crowding_distance(min_rows((0.0, 5.0), (0.5, 5.0), (1.0, 5.0)))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert np.isfinite(d[1])
 
 
 class TestTournament:
     def test_lower_rank_always_wins(self):
-        pop = [ind(1, 1), ind(2, 2)]
-        pop[0].rank, pop[1].rank = 1, 3
+        rank, crowding = np.array([1, 3]), np.zeros(2)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert tournament_select(pop, rng) == 0
+            assert tournament_select(rank, crowding, rng) == 0
 
     def test_crowding_breaks_rank_ties(self):
-        pop = [ind(1, 1), ind(2, 2)]
-        pop[0].rank = pop[1].rank = 1
-        pop[0].crowding, pop[1].crowding = np.inf, 2.0
+        rank, crowding = np.array([1, 1]), np.array([np.inf, 2.0])
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert tournament_select(pop, rng) == 0
+            assert tournament_select(rank, crowding, rng) == 0
 
     def test_seeded_winner_sequence_is_reproducible(self):
         rng1 = np.random.default_rng(9)
         rng2 = np.random.default_rng(9)
-        pop = [ind(float(w), float(t)) for w, t in zip(range(6), range(6))]
-        fronts = non_dominated_sort(pop)
-        for front in fronts:
-            for i, d in zip(front, crowding_distance([pop[j] for j in front])):
-                pop[i].crowding = float(d)
-        seq1 = [tournament_select(pop, rng1) for _ in range(50)]
-        seq2 = [tournament_select(pop, rng2) for _ in range(50)]
+        objectives = np.array([(float(w), float(t)) for w, t in zip(range(6), range(6))])
+        rank = non_dominated_sort(objectives)
+        crowding = np.zeros(len(rank))
+        for front in fronts_of(rank):
+            crowding[front] = crowding_distance(objectives[front])
+        seq1 = [tournament_select(rank, crowding, rng1) for _ in range(50)]
+        seq2 = [tournament_select(rank, crowding, rng2) for _ in range(50)]
         assert seq1 == seq2
 
     def test_needs_two_individuals(self):
         with pytest.raises(EngineError):
-            tournament_select([ind(1, 1)], np.random.default_rng(0))
+            tournament_select(np.array([1]), np.zeros(1), np.random.default_rng(0))
 
 
 class _StubRng:
@@ -234,20 +228,19 @@ class TestMutate:
 class TestInitialization:
     def test_constant_rows_and_bounds(self):
         cfg = EngineConfig(population_size=30)
-        pop = initialize_population(cfg, 37, np.random.default_rng(2))
-        assert len(pop) == 30
-        for p in pop:
-            assert p.genome.shape == (74,)
-            assert len(set(p.genome.tolist())) <= 2
-            assert np.all((p.genome >= 0) & (p.genome <= 1))
-            assert len(set(p.genome[:37].tolist())) == 1
-            assert len(set(p.genome[37:].tolist())) == 1
+        genomes = initialize_population(cfg, 37, np.random.default_rng(2))
+        assert genomes.shape == (30, 74)
+        for genome in genomes:
+            assert len(set(genome.tolist())) <= 2
+            assert np.all((genome >= 0) & (genome <= 1))
+            assert len(set(genome[:37].tolist())) == 1
+            assert len(set(genome[37:].tolist())) == 1
 
     def test_different_seeds_differ(self):
         cfg = EngineConfig(population_size=8)
         a = initialize_population(cfg, 5, np.random.default_rng(1))
         b = initialize_population(cfg, 5, np.random.default_rng(2))
-        assert any(not np.array_equal(x.genome, y.genome) for x, y in zip(a, b))
+        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestEngineConfig:
@@ -259,7 +252,6 @@ class TestEngineConfig:
         ({"mutation_step": 0.0}, "mutation_step"),
         ({"crossover_fraction": -0.1}, "crossover_fraction"),
         ({"mutant_fraction": 1.2}, "mutant_fraction"),
-        ({"tournament_size": 3}, "tournament_size"),
     ])
     def test_invalid_settings_name_the_field(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -275,7 +267,6 @@ class TestEngineConfig:
         assert cfg.max_iterations == 1000
         assert cfg.mutation_rate == 0.03
         assert cfg.mutation_step == 0.1
-        assert cfg.tournament_size == 2
 
 
 SMALL_MODEL = ModelParams(H=6)
@@ -297,51 +288,35 @@ class TestEvolve:
         archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H,
                          np.random.default_rng(cfg.rng_seed))
         # recompute the expected rank-1 set from the same seeded initialization
-        pop = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(cfg.rng_seed))
-        for p in pop:
-            p.objectives = _small_evaluator(p.genome)
-        fronts = non_dominated_sort(pop)
-        expected = {(p.objectives.W, p.objectives.T_max)
-                    for p in (pop[i] for i in fronts[0])}
-        got = {(m.objectives.W, m.objectives.T_max) for m in archive.members}
+        genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(cfg.rng_seed))
+        objectives = np.array([_small_evaluator(g) for g in genomes])
+        rank = non_dominated_sort(objectives)
+        expected = {tuple(row) for row in objectives[rank == 1]}
+        got = {tuple(row) for row in archive.objectives}
         assert got == expected
 
     def test_archive_is_mutually_nondominated_and_sorted(self):
         archive = evolve(_small_cfg(), _small_evaluator, SMALL_MODEL.H,
                          np.random.default_rng(3))
-        rows = archive.objective_rows()
+        rows = archive.objectives
         assert np.all(np.diff(rows[:, 1]) > 0)  # strictly ascending T_max
         for i in range(len(archive)):
             for j in range(len(archive)):
                 if i != j:
-                    assert not dominates(archive.members[i].objectives,
-                                         archive.members[j].objectives)
+                    assert not dominates(ObjectivePair(*rows[i]), ObjectivePair(*rows[j]))
 
     def test_all_genomes_respect_bounds(self):
         archive = evolve(_small_cfg(max_iterations=6), _small_evaluator,
                          SMALL_MODEL.H, np.random.default_rng(3))
-        for m in archive.members:
-            assert np.all((m.genome >= 0.0) & (m.genome <= 1.0))
+        assert np.all((archive.genomes >= 0.0) & (archive.genomes <= 1.0))
 
     def test_same_seed_reproduces_archive_bit_for_bit(self):
         a = evolve(_small_cfg(), _small_evaluator, SMALL_MODEL.H,
                    np.random.default_rng(3))
         b = evolve(_small_cfg(), _small_evaluator, SMALL_MODEL.H,
                    np.random.default_rng(3))
-        assert len(a) == len(b)
-        for x, y in zip(a.members, b.members):
-            assert x.objectives == y.objectives
-            assert np.array_equal(x.genome, y.genome)
-
-    def test_parallel_evaluation_matches_serial(self):
-        serial = evolve(_small_cfg(), _small_evaluator, SMALL_MODEL.H,
-                        np.random.default_rng(3), workers=1)
-        parallel = evolve(_small_cfg(), _small_evaluator, SMALL_MODEL.H,
-                          np.random.default_rng(3), workers=4)
-        assert len(serial) == len(parallel)
-        for x, y in zip(serial.members, parallel.members):
-            assert x.objectives == y.objectives
-            assert np.array_equal(x.genome, y.genome)
+        assert np.array_equal(a.objectives, b.objectives)
+        assert np.array_equal(a.genomes, b.genomes)
 
     def test_elitism_extremes_never_regress(self):
         # a run with m iterations replays the first m generations of a longer
@@ -350,7 +325,7 @@ class TestEvolve:
         for iters in range(6):
             archive = evolve(_small_cfg(max_iterations=iters), _small_evaluator,
                              SMALL_MODEL.H, np.random.default_rng(3))
-            rows = archive.objective_rows()
+            rows = archive.objectives
             best_t.append(rows[:, 1].min())
             best_w.append(rows[:, 0].max())
         assert all(a >= b for a, b in zip(best_t, best_t[1:]))
@@ -364,3 +339,15 @@ class TestEvolve:
         with pytest.raises(EngineError, match=r"\[0\.") as exc_info:
             evolve(cfg, broken, SMALL_MODEL.H, np.random.default_rng(3))
         assert "boom" in str(exc_info.value)
+
+    def test_non_finite_objectives_are_rejected_with_the_genome(self):
+        def nan_for_high_mitigation(genome):
+            pair = _small_evaluator(genome)
+            return ObjectivePair(np.nan, pair.T_max) if genome[0] > 0.5 else pair
+
+        cfg = _small_cfg()
+        genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))
+        first_bad = genomes[np.flatnonzero(genomes[:, 0] > 0.5)[0]]
+        with pytest.raises(EngineError, match="non-finite objectives") as exc_info:
+            evolve(cfg, nan_for_high_mitigation, SMALL_MODEL.H, np.random.default_rng(3))
+        assert json.dumps(first_bad.tolist()) in str(exc_info.value)
