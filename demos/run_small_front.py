@@ -15,7 +15,7 @@ from dice_pareto import (
     EngineConfig,
     ModelParams,
     PolicyMatrix,
-    evaluate_policy,
+    evaluate_batch,
     evolve,
     select_representatives,
 )
@@ -24,8 +24,9 @@ params = ModelParams()
 config = EngineConfig(population_size=40, max_iterations=150, rng_seed=7)
 
 
-def evaluator(genome):
-    return evaluate_policy(PolicyMatrix.from_genome(genome), params)
+def evaluator(genomes):
+    """Score one generation at once: (n, 2H) genomes to (n, 2) of (W, T_max)."""
+    return evaluate_batch(genomes, params)
 
 
 print(f"optimizing {2 * params.H} decision variables, "

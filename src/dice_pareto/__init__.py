@@ -17,6 +17,7 @@ from .model import (
     SimState,
     StepDerived,
     Trajectory,
+    evaluate_batch,
     evaluate_policy,
     initial_state,
     simulate,
@@ -69,6 +70,7 @@ __all__ = [
     "crossover",
     "crowding_distance",
     "dominates",
+    "evaluate_batch",
     "evaluate_policy",
     "evolve",
     "initial_state",

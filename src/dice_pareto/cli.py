@@ -168,6 +168,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     front_path = Path(cfg.output_dir) / FRONT_FILE
     archive = load_front(front_path)
+    genes = archive.genomes.shape[1]
+    if genes != 2 * cfg.model.H:
+        raise ConfigError(f"{front_path} has {genes} genes per row, but the configured "
+                          f"H = {cfg.model.H} needs 2H = {2 * cfg.model.H}")
     named = select_representatives(archive, cfg.representative_count)
     rows = compare_reference([(label, archive.objectives[row]) for label, row in named],
                              cfg.reference_points)

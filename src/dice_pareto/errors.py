@@ -6,7 +6,14 @@ class ConfigError(ValueError):
 
 
 class ModelDomainError(ValueError):
-    """A model quantity left its valid domain (e.g. non-positive population)."""
+    """A model quantity left its valid domain (e.g. non-positive population).
+
+    ``row`` is the population row at fault when a batch evaluation raised it.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EngineError(RuntimeError):

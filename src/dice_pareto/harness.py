@@ -17,8 +17,10 @@ exactly and identical seeds reproduce identical front files byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import platform
 import string
 import time
@@ -30,9 +32,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .model import ObjectivePair, PolicyMatrix, Trajectory, evaluate_policy, simulate
+from .model import ObjectivePair, PolicyMatrix, Trajectory, evaluate_batch, simulate
 from .nsga2 import EngineConfig, FrontArchive, evolve
-from .params import ModelParams
+from .params import ModelParams, _number
 
 FRONT_FILE = "front.csv"
 COMPARISON_FILE = "comparison.csv"
@@ -140,12 +142,12 @@ def _parse_reference_points(raw: Any) -> tuple[ReferencePoint, ...]:
             raise ConfigError(
                 "each reference point needs exactly the keys name, W, T_max; "
                 f"got {entry!r}")
-        if not isinstance(entry["name"], str):
-            raise ConfigError(f"reference point name must be a string, got {entry['name']!r}")
-        points.append(ReferencePoint(
-            name=entry["name"],
-            objectives=ObjectivePair(W=float(entry["W"]), T_max=float(entry["T_max"])),
-        ))
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"reference point name must be a string, got {name!r}")
+        points.append(ReferencePoint(name=name, objectives=ObjectivePair(
+            W=_number(entry["W"], f"reference point {name!r} W"),
+            T_max=_number(entry["T_max"], f"reference point {name!r} T_max"))))
     return tuple(points)
 
 
@@ -158,11 +160,8 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     rng = np.random.default_rng(cfg.engine.rng_seed)
     model = cfg.model
 
-    def evaluator(genome: np.ndarray) -> ObjectivePair:
-        return evaluate_policy(PolicyMatrix.from_genome(genome), model)
-
     started = time.perf_counter()
-    archive = evolve(cfg.engine, evaluator, model.H, rng)
+    archive = evolve(cfg.engine, functools.partial(evaluate_batch, p=model), model.H, rng)
     elapsed = time.perf_counter() - started
 
     named = select_representatives(archive, cfg.representative_count)
@@ -258,37 +257,41 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_text(path: Path, text: str, created: list[Path]) -> None:
+def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text)
     except OSError as exc:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc
-    created.append(path)
 
 
 def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     """Write front, trajectories, comparison, and metadata files.
 
-    Returns the created paths; on failure, anything already written by this
-    call is removed before the error propagates.
+    Returns the written paths. Each file is first written to a temporary
+    sibling (``<name>.tmp``), and the temporaries replace their targets only
+    after every write has succeeded: a failed call removes its temporaries
+    and leaves the files of any previous run in ``out_dir`` as they were.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    texts = {FRONT_FILE: format_front_csv(report.archive)}
+    for label, row, traj in report.representatives:
+        policy = PolicyMatrix.from_genome(report.archive.genomes[row])
+        texts[f"trajectory_{label}.csv"] = format_trajectory_csv(traj, policy)
+    texts[COMPARISON_FILE] = format_comparison_csv(report.comparison)
+    texts[METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
+    targets = [out / name for name in texts]
+    temps = [out / f"{name}.tmp" for name in texts]
     try:
-        _write_text(out / FRONT_FILE, format_front_csv(report.archive), created)
-        for label, row, traj in report.representatives:
-            policy = PolicyMatrix.from_genome(report.archive.genomes[row])
-            _write_text(out / f"trajectory_{label}.csv",
-                        format_trajectory_csv(traj, policy), created)
-        _write_text(out / COMPARISON_FILE, format_comparison_csv(report.comparison), created)
-        _write_text(out / METADATA_FILE,
-                    json.dumps(report.metadata, indent=2, sort_keys=True) + "\n", created)
+        for temp, text in zip(temps, texts.values()):
+            _write_text(temp, text)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
     except BaseException:
-        for path in created:
-            path.unlink(missing_ok=True)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
         raise
-    return created
+    return targets
 
 
 def format_front_csv(archive: FrontArchive) -> str:

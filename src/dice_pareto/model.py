@@ -1,8 +1,7 @@
 """DICE-2016R dynamics, trajectory simulation, and the two control objectives.
 
 Everything here is a pure function of its arguments: identical inputs give
-bit-identical outputs, so policies can be evaluated concurrently without
-synchronization. Step indices are 0-based; step i covers year t0 + i*dt.
+bit-identical outputs. Step indices are 0-based; step i covers year t0 + i*dt.
 
 A policy is a pair of control sequences over the horizon H:
 
@@ -15,10 +14,21 @@ The two objectives are social welfare W (discounted sum of population-
 weighted isoelastic utility of per-capita consumption, to be maximized) and
 the peak atmospheric temperature deviation T_AT,max over the horizon (to be
 minimized).
+
+Two paths run the recursion. ``simulate`` / ``evaluate_policy`` advance one
+policy on Python floats and keep the whole trajectory; they are the n = 1
+path (``cli simulate``, representatives) and the reference the batch is
+tested against. ``evaluate_batch`` scores an (n, 2H) table of genomes at
+once, each dynamic state a length-n array, and is what the search calls once
+per generation. Both read the policy-independent paths (population, TFP,
+emission intensity, land-use emissions, and the per-step terms built from
+them) from one cache keyed on the frozen ``ModelParams``, filled on first
+use with the scalar step functions below.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -157,7 +167,12 @@ def gross_output(A: float, K: float, L: float, p: ModelParams) -> float:
     """
     if not (A > 0 and K > 0 and L > 0):
         raise ModelDomainError(f"gross output needs positive A, K, L; got {A}, {K}, {L}")
-    return A * K**p.gamma * (L / 1000.0) ** (1.0 - p.gamma)
+    return A * K**p.gamma * labour_factor(L, p)
+
+
+def labour_factor(L: float, p: ModelParams) -> float:
+    """Labour input of gross output, (L/1000) ** (1 - gamma), with L in millions."""
+    return (L / 1000.0) ** (1.0 - p.gamma)
 
 
 def damage_factor(T_AT: float, p: ModelParams) -> float:
@@ -246,6 +261,11 @@ def utility(C: float, L: float, p: ModelParams) -> float:
     return L * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha)
 
 
+def discount_factor(i: int, p: ModelParams) -> float:
+    """Divisor of step i's utility in the welfare sum: (1 + rho) ** (i * dt)."""
+    return (1.0 + p.rho) ** (i * p.dt)
+
+
 def economy_step(state: SimState, mu: float, s: float, i: int, p: ModelParams) -> StepDerived:
     """All derived quantities of step i in one pass.
 
@@ -268,6 +288,52 @@ def economy_step(state: SimState, mu: float, s: float, i: int, p: ModelParams) -
                        E=E, F=F, theta1=theta1, U=U)
 
 
+class _Exogenous(NamedTuple):
+    """The policy-independent paths of one ``ModelParams``.
+
+    State paths hold indices 0..H and step paths 0..H-1. When advancing the
+    exogenous states past state k fails, the state paths stop at k, the step
+    paths at step k, and ``failure`` holds the error message: a simulation
+    then fails at step k once that step's economy has been computed, just
+    where the one-step-at-a-time recursion would fail.
+    """
+
+    L: tuple[float, ...]
+    A: tuple[float, ...]
+    sigma: tuple[float, ...]
+    E_Land: tuple[float, ...]
+    theta1: tuple[float, ...]
+    labour: tuple[float, ...]     # labour_factor(L)
+    forcing: tuple[float, ...]    # exogenous_forcing
+    discount: tuple[float, ...]   # discount_factor
+    failure: str | None
+
+
+@functools.lru_cache(maxsize=16)
+def _exogenous(p: ModelParams) -> _Exogenous:
+    """Compute, once per parameter set, every path the policy cannot move."""
+    L, A, sigma, E_Land = [p.L0], [p.A0], [p.sigma0], [p.E_L0]
+    failure = None
+    for i in range(p.H):
+        try:
+            advanced = (step_population(L[i], p), step_tfp(A[i], i, p),
+                        step_emission_intensity(sigma[i], i, p), land_emissions(i + 1, p))
+        except ModelDomainError as exc:
+            failure = str(exc)
+            break
+        for path, value in zip((L, A, sigma, E_Land), advanced):
+            path.append(value)
+    steps = range(min(len(L), p.H))
+    return _Exogenous(
+        L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land),
+        theta1=tuple(mitigation_cost_theta1(sigma[i], i, p) for i in steps),
+        labour=tuple(labour_factor(L[i], p) for i in steps),
+        forcing=tuple(exogenous_forcing(i, p) for i in steps),
+        discount=tuple(discount_factor(i, p) for i in steps),
+        failure=failure,
+    )
+
+
 def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     """Run the closed-loop dynamics over the horizon.
 
@@ -278,6 +344,7 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
         raise ModelDomainError(
             f"policy horizon {policy.horizon} does not match configured H = {p.H}"
         )
+    ex = _exogenous(p)
     # plain Python floats keep the scalar recursion off numpy's slower
     # scalar path; the arithmetic is bit-identical either way
     mu = policy.mu.tolist()
@@ -288,18 +355,17 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     for i in range(p.H):
         try:
             d = economy_step(st, mu[i], s[i], i, p)
-            M_AT, M_UP, M_LO = step_carbon(st.M_AT, st.M_UP, st.M_LO, d.E, p)
-            T_AT, T_LO = step_climate(st.T_AT, st.T_LO, d.F, p)
-            st = SimState(
-                L=step_population(st.L, p),
-                A=step_tfp(st.A, i, p),
-                K=step_capital(st.K, d.I, p),
-                sigma=step_emission_intensity(st.sigma, i, p),
-                E_Land=land_emissions(i + 1, p),
-                M_AT=M_AT, M_UP=M_UP, M_LO=M_LO, T_AT=T_AT, T_LO=T_LO,
-            )
+            if i + 1 == len(ex.L):
+                raise ModelDomainError(ex.failure)
         except ModelDomainError as exc:
             raise ModelDomainError(f"step {i}: {exc}") from exc
+        M_AT, M_UP, M_LO = step_carbon(st.M_AT, st.M_UP, st.M_LO, d.E, p)
+        T_AT, T_LO = step_climate(st.T_AT, st.T_LO, d.F, p)
+        st = SimState(
+            L=ex.L[i + 1], A=ex.A[i + 1], K=step_capital(st.K, d.I, p),
+            sigma=ex.sigma[i + 1], E_Land=ex.E_Land[i + 1],
+            M_AT=M_AT, M_UP=M_UP, M_LO=M_LO, T_AT=T_AT, T_LO=T_LO,
+        )
         derived.append(d)
         states.append(st)
     return Trajectory(states=tuple(states), derived=tuple(derived), params=p)
@@ -311,7 +377,7 @@ def welfare(traj: Trajectory, p: ModelParams | None = None) -> float:
         p = traj.params
     total = 0.0
     for i, d in enumerate(traj.derived):
-        total += d.U / (1.0 + p.rho) ** (i * p.dt)
+        total += d.U / discount_factor(i, p)
     return total
 
 
@@ -324,3 +390,73 @@ def evaluate_policy(policy: PolicyMatrix, p: ModelParams) -> ObjectivePair:
     """Simulate a policy and score it: (welfare, peak temperature deviation)."""
     traj = simulate(policy, p)
     return ObjectivePair(W=welfare(traj, p), T_max=t_at_max(traj))
+
+
+def _require(ok: np.ndarray, step: int, message: str, values: np.ndarray) -> None:
+    """Raise for the first row where ``ok`` is False, naming the step, the row
+    and that row's value."""
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ModelDomainError(f"step {step}, row {row}: {message}, got {values[row]}",
+                               row=row)
+
+
+# Overflow and invalid operations give inf/nan without a warning: a nan in K,
+# M_AT or C fails its domain check, and the engine rejects rows whose
+# objectives are not finite.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Score n policies at once: (n, 2H) genomes to an (n, 2) table of (W, T_max).
+
+    Row k scores like ``evaluate_policy(PolicyMatrix.from_genome(genomes[k]), p)``:
+    genes are clipped to [0, 1], and each step repeats the scalar path's
+    operations term by term on length-n arrays. The two agree to a few ulps,
+    not bitwise, because numpy's vectorised ``power`` and ``log2`` may round
+    the last bit differently from the C library. A domain failure raises
+    ``ModelDomainError`` naming the step and the first failing row, which it
+    also carries as ``exc.row``.
+    """
+    genomes = np.asarray(genomes, dtype=float)
+    H = p.H
+    if genomes.ndim != 2 or genomes.shape[1] != 2 * H:
+        raise ModelDomainError(
+            f"genomes must form an (n, 2H) = (n, {2 * H}) table, got shape {genomes.shape}")
+    finite = np.isfinite(genomes).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ModelDomainError(f"row {row}: policy entries must be finite", row=row)
+    n = len(genomes)
+    if n == 0:
+        return np.empty((0, 2))
+    ex = _exogenous(p)
+    steps = len(ex.theta1)
+    # policy terms of every step at once, one row per step
+    mu = np.clip(genomes[:, :steps].T, 0.0, 1.0)
+    s = np.clip(genomes[:, H:H + steps].T, 0.0, 1.0)
+    kept = 1.0 - np.array(ex.theta1)[:, None] * mu**p.theta2   # 1 - Lambda
+    emitting = np.array(ex.sigma[:steps])[:, None] * (1.0 - mu)
+
+    K = np.full(n, p.K0)
+    M_AT, M_UP, M_LO = np.full(n, p.M_AT0), np.full(n, p.M_UP0), np.full(n, p.M_LO0)
+    T_AT, T_LO = np.full(n, p.T_AT0), np.full(n, p.T_LO0)
+    W = np.zeros(n)
+    T_max = T_AT.copy()
+    for i in range(steps):
+        _require(K > 0, i, "gross output needs positive capital K", K)
+        Y = ex.A[i] * K**p.gamma * ex.labour[i]
+        Q = kept[i] * damage_factor(T_AT, p) * Y
+        I = s[i] * Q
+        E = emitting[i] * Y + ex.E_Land[i]
+        _require(M_AT > 0, i, "atmospheric carbon must be positive", M_AT)
+        F = p.F_2x * np.log2(M_AT / p.M_AT_1750) + ex.forcing[i]
+        C = np.maximum(Q - I, CONSUMPTION_FLOOR)
+        _require(C > 0, i, "consumption must be positive", C)
+        cpc = 1000.0 * C / ex.L[i]
+        W += ex.L[i] * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha) / ex.discount[i]
+        if i + 1 == len(ex.L):
+            raise ModelDomainError(f"step {i}, row 0: {ex.failure}", row=0)
+        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
+        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
+        K = step_capital(K, I, p)
+        np.maximum(T_max, T_AT, out=T_max)
+    return np.column_stack((W, T_max))

@@ -14,6 +14,14 @@ evaluation never touches the generator.
 
 The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 (W, T_max), with per-row rank and crowding arrays carried alongside.
+
+Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
+(n, 2) table of (W, T_max). The engine calls it once on the initial
+population and once per generation on all new offspring and mutants
+together, after every draw of that generation; an empty batch is not sent.
+An exception that carries a ``row`` attribute (``ModelDomainError`` from
+``model.evaluate_batch`` does) names that row's genome in the resulting
+``EngineError``; any other names the batch's first genome.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import ConfigError, EngineError
 from .model import ObjectivePair
 from .params import _checked_fields
 
-Evaluator = Callable[[np.ndarray], ObjectivePair]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 # Blend coefficients are drawn from U[BLEND_LOW, BLEND_HIGH]: convex mixing
 # with a 10% overshoot band on both sides, clamped back to the box.
@@ -203,14 +211,18 @@ def initialize_population(
 
 
 def _evaluate(genomes: np.ndarray, evaluator: Evaluator) -> np.ndarray:
-    """(n, 2) table of (W, T_max), one evaluator call per genome in row order."""
+    """(n, 2) table of (W, T_max) from one evaluator call on the whole batch."""
     genomes.flags.writeable = False  # the evaluator gets read-only rows
-    objectives = np.empty((len(genomes), 2))
-    for k, genome in enumerate(genomes):
-        try:
-            objectives[k] = evaluator(genome)
-        except Exception as exc:
-            raise _evaluation_error(genome, exc) from exc
+    if len(genomes) == 0:
+        return np.empty((0, 2))
+    try:
+        objectives = np.asarray(evaluator(genomes), dtype=float)
+    except Exception as exc:
+        row = getattr(exc, "row", None)
+        raise _evaluation_error(genomes[0 if row is None else row], exc) from exc
+    if objectives.shape != (len(genomes), 2):
+        raise EngineError(f"evaluator returned shape {objectives.shape} for "
+                          f"{len(genomes)} genomes, expected ({len(genomes)}, 2)")
     bad = np.flatnonzero(~np.isfinite(objectives).all(axis=1))
     if len(bad):
         raise _evaluation_error(

@@ -10,6 +10,7 @@ deviation relative to 1900.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -87,12 +88,17 @@ class ModelParams:
             raise ConfigError(f"alpha must be >= 0 and != 1, got {self.alpha}")
         if not self.L_a > 0:
             raise ConfigError(f"L_a must be positive, got {self.L_a}")
-        for name in ("L0", "A0", "sigma0", "M_AT0", "M_UP0", "M_LO0"):
+        # gross output needs K > 0 from step 0 on
+        for name in ("L0", "A0", "K0", "sigma0", "M_AT0", "M_UP0", "M_LO0"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.K0 < 0:
-            raise ConfigError(f"K0 must be non-negative, got {self.K0}")
+        # a negative damage coefficient can push the damage factor past 1 or
+        # through a pole, and every policy then fails inside the model
+        for name in ("psi1", "psi2"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ModelParams":
@@ -117,13 +123,25 @@ def _checked_fields(cls: type, data: dict[str, Any], section: str) -> dict[str, 
         raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
     out: dict[str, Any] = {}
     for key, value in data.items():
-        field = by_name[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        if field.type in ("int", int):
-            if float(value) != int(value):
+        number = _number(value, f"{section}.{key}")
+        if by_name[key].type in ("int", int):
+            if number != int(value):
                 raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
             out[key] = int(value)
         else:
-            out[key] = float(value)
+            out[key] = number
     return out
+
+
+def _number(value: Any, where: str) -> float:
+    """A config value as a float: a finite JSON number, so booleans, strings,
+    NaN, infinities and integers beyond the float range fail with a
+    ConfigError naming ``where``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")

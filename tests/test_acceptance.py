@@ -21,6 +21,7 @@ from dice_pareto import (
     PolicyMatrix,
     crowding_distance,
     dominates,
+    evaluate_batch,
     evaluate_policy,
     evolve,
     non_dominated_sort,
@@ -35,8 +36,8 @@ P = ModelParams()
 FULL_SCALE = os.environ.get("DICE_PARETO_ACCEPT_FULL") == "1"
 
 
-def _evaluator(genome):
-    return evaluate_policy(PolicyMatrix.from_genome(genome), P)
+def _evaluator(genomes):
+    return evaluate_batch(genomes, P)
 
 
 @pytest.fixture(scope="module")

@@ -193,6 +193,26 @@ class TestReport:
         assert len(err.splitlines()) == 1
         assert not (out / "comparison.csv").exists()
 
+    def test_genome_length_must_match_configured_horizon(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "front.csv").write_text("W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n")
+        assert run_cli("report", "--out", str(out)) == 1  # default H = 37
+        err = capsys.readouterr().err
+        assert "front.csv" in err and " 2 genes" in err and "2H = 74" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "comparison.csv").exists()
+
+    def test_non_numeric_reference_point_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"reference_points": [{"name": "X", "W": "abc", "T_max": 2.0}]}))
+        assert run_cli("simulate", "--config", str(cfg), "--mu", "0.5", "--s", "0.25",
+                       "--out", str(tmp_path / "sim")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'X' W" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDispatch:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"reference_points": [{"name": "X", "W": 1.0}]}))
         with pytest.raises(ConfigError, match="reference point"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("W", "abc"), ("W", True), ("T_max", None), ("T_max", float("nan")),
+    ])
+    def test_reference_point_values_must_be_numbers(self, tmp_path, key, value):
+        point = {"name": "X", "W": 1.0, "T_max": 2.0, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"reference_points": [point]}))
+        with pytest.raises(ConfigError, match=f"reference point 'X' {key} must be"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -241,6 +252,25 @@ class TestPersistence:
         # 17 digits round-trip exactly
         assert np.array_equal(loaded.objectives, report.archive.objectives)
         assert np.array_equal(loaded.genomes, report.archive.genomes)
+
+    def test_failed_write_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        persist_report(run_experiment(tiny_config(tmp_path)), out)
+        previous = {path.name: path.read_bytes() for path in out.iterdir()}
+        report = run_experiment(tiny_config(tmp_path, engine=dict(TINY["engine"], rng_seed=12)))
+        assert format_front_csv(report.archive).encode() != previous["front.csv"]
+
+        write_text = Path.write_text
+
+        def disk_full_on_metadata(self, text, *args, **kwargs):
+            if self.name.startswith("metadata"):
+                raise OSError(28, "No space left on device")
+            return write_text(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_on_metadata)
+        with pytest.raises(RuntimeError, match="metadata"):
+            persist_report(report, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 
     def test_front_file_is_reproducible_byte_for_byte(self, tmp_path):
         text_a = format_front_csv(run_experiment(tiny_config(tmp_path)).archive)

@@ -11,12 +11,14 @@ from dice_pareto import (
     ConfigError,
     EngineConfig,
     EngineError,
+    ModelDomainError,
     ModelParams,
     ObjectivePair,
     PolicyMatrix,
     crossover,
     crowding_distance,
     dominates,
+    evaluate_batch,
     evaluate_policy,
     evolve,
     initialize_population,
@@ -272,8 +274,8 @@ class TestEngineConfig:
 SMALL_MODEL = ModelParams(H=6)
 
 
-def _small_evaluator(genome):
-    return evaluate_policy(PolicyMatrix.from_genome(genome), SMALL_MODEL)
+def _small_evaluator(genomes):
+    return evaluate_batch(genomes, SMALL_MODEL)
 
 
 def _small_cfg(**overrides):
@@ -289,7 +291,7 @@ class TestEvolve:
                          np.random.default_rng(cfg.rng_seed))
         # recompute the expected rank-1 set from the same seeded initialization
         genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(cfg.rng_seed))
-        objectives = np.array([_small_evaluator(g) for g in genomes])
+        objectives = _small_evaluator(genomes)
         rank = non_dominated_sort(objectives)
         expected = {tuple(row) for row in objectives[rank == 1]}
         got = {tuple(row) for row in archive.objectives}
@@ -332,7 +334,7 @@ class TestEvolve:
         assert all(a <= b for a, b in zip(best_w, best_w[1:]))
 
     def test_evaluator_failure_serializes_offending_genome(self):
-        def broken(genome):
+        def broken(genomes):
             raise ValueError("boom")
 
         cfg = _small_cfg(max_iterations=0)
@@ -340,10 +342,55 @@ class TestEvolve:
             evolve(cfg, broken, SMALL_MODEL.H, np.random.default_rng(3))
         assert "boom" in str(exc_info.value)
 
+    def test_failing_row_names_its_genome(self):
+        def fails_at_row_5(genomes):
+            raise ModelDomainError("step 2, row 5: boom", row=5)
+
+        cfg = _small_cfg(max_iterations=0)
+        genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))
+        with pytest.raises(EngineError, match="row 5: boom") as exc_info:
+            evolve(cfg, fails_at_row_5, SMALL_MODEL.H, np.random.default_rng(3))
+        assert json.dumps(genomes[5].tolist()) in str(exc_info.value)
+
+    def test_model_domain_error_names_the_first_failing_policy(self):
+        # a high backstop price makes theta1 > 1, so abatement costs exceed
+        # output and capital turns negative only under strong mitigation
+        model = ModelParams(H=6, p_b=20000.0)
+
+        def evaluator(genomes):
+            return evaluate_batch(genomes, model)
+
+        cfg = _small_cfg(max_iterations=0)
+        genomes = initialize_population(cfg, model.H, np.random.default_rng(3))
+        with pytest.raises(EngineError, match="gross output needs positive capital") as exc_info:
+            evolve(cfg, evaluator, model.H, np.random.default_rng(3))
+        row = exc_info.value.__cause__.row
+        assert json.dumps(genomes[row].tolist()) in str(exc_info.value)
+        # the scalar path agrees: earlier rows score, this one fails
+        for genome in genomes[:row]:
+            evaluate_policy(PolicyMatrix.from_genome(genome), model)
+        with pytest.raises(ModelDomainError, match="gross output"):
+            evaluate_policy(PolicyMatrix.from_genome(genomes[row]), model)
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 3), (11, 2)])
+    def test_wrongly_shaped_objectives_are_rejected(self, shape):
+        cfg = _small_cfg(max_iterations=0)
+        with pytest.raises(EngineError, match="evaluator returned shape"):
+            evolve(cfg, lambda genomes: np.zeros(shape), SMALL_MODEL.H,
+                   np.random.default_rng(3))
+
+    def test_no_offspring_still_runs(self):
+        cfg = _small_cfg(crossover_fraction=0.0, mutant_fraction=0.0)
+        archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
+        first = evolve(_small_cfg(max_iterations=0), _small_evaluator, SMALL_MODEL.H,
+                       np.random.default_rng(3))
+        assert np.array_equal(archive.objectives, first.objectives)
+
     def test_non_finite_objectives_are_rejected_with_the_genome(self):
-        def nan_for_high_mitigation(genome):
-            pair = _small_evaluator(genome)
-            return ObjectivePair(np.nan, pair.T_max) if genome[0] > 0.5 else pair
+        def nan_for_high_mitigation(genomes):
+            objectives = _small_evaluator(genomes)
+            objectives[genomes[:, 0] > 0.5, 0] = np.nan
+            return objectives
 
         cfg = _small_cfg()
         genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))

@@ -73,6 +73,9 @@ def test_initial_conditions_match_dice2016r_release():
     ({"L_a": 0.0}, "L_a"),
     ({"L0": 0.0}, "L0"),
     ({"K0": -1.0}, "K0"),
+    ({"K0": 0.0}, "K0"),
+    ({"psi1": -0.1}, "psi1"),
+    ({"psi2": -0.5}, "psi2"),
 ])
 def test_invariant_violations_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -89,6 +92,12 @@ def test_from_dict_rejects_non_numeric_values():
         ModelParams.from_dict({"gamma": "0.3"})
     with pytest.raises(ConfigError, match="gamma"):
         ModelParams.from_dict({"gamma": True})
+    with pytest.raises(ConfigError, match="gamma"):
+        ModelParams.from_dict({"gamma": float("nan")})
+    with pytest.raises(ConfigError, match="H"):
+        ModelParams.from_dict({"H": float("inf")})
+    with pytest.raises(ConfigError, match="gamma"):
+        ModelParams.from_dict({"gamma": 10**400})
 
 
 def test_from_dict_requires_integer_horizon():

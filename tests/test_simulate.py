@@ -7,6 +7,8 @@ sharing no code with the implementation under test.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -19,6 +21,7 @@ from dice_pareto import (
     SimState,
     StepDerived,
     Trajectory,
+    evaluate_batch,
     evaluate_policy,
     initial_state,
     simulate,
@@ -86,6 +89,33 @@ class TestTrajectoryShape:
         bad = ModelParams(g_A=1.5)
         with pytest.raises(ModelDomainError, match="step 0"):
             simulate(constant_policy(0.3, 0.25), bad)
+
+
+class TestEvaluateBatch:
+    def test_policy_independent_failure_names_the_same_step(self):
+        bad = ModelParams(g_A=1.5)  # TFP denominator negative on step 0
+        with pytest.raises(ModelDomainError, match="step 0, row 0: TFP") as exc_info:
+            evaluate_batch(np.full((3, 2 * P.H), 0.5), bad)
+        assert exc_info.value.row == 0
+
+    def test_overflow_is_a_domain_error_without_warnings(self):
+        explosive = ModelParams(gamma=1.5)  # output overflows within a few steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError, match="row 0"):
+                evaluate_batch(np.full((2, 2 * P.H), 0.5), explosive)
+
+    @pytest.mark.parametrize("shape", [(3, 2 * P.H - 1), (2 * P.H,), (1, 2, 2 * P.H)])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ModelDomainError, match=r"\(n, 74\)"):
+            evaluate_batch(np.zeros(shape), P)
+
+    def test_non_finite_gene_names_its_row(self):
+        genomes = np.full((4, 2 * P.H), 0.5)
+        genomes[2, 7] = np.nan
+        with pytest.raises(ModelDomainError, match="row 2") as exc_info:
+            evaluate_batch(genomes, P)
+        assert exc_info.value.row == 2
 
 
 class TestPurity:
