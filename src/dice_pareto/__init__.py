@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import ConfigError, EngineError, ModelDomainError
 from .params import ModelParams
 from .model import (
-    CONSUMPTION_FLOOR,
     ObjectivePair,
     PolicyMatrix,
     SimState,
@@ -39,9 +38,7 @@ from .nsga2 import (
 from .harness import (
     ReferencePoint,
     RunConfig,
-    RunReport,
     compare_reference,
-    config_from_dict,
     load_config,
     load_front,
     persist_report,
@@ -50,7 +47,6 @@ from .harness import (
 )
 
 __all__ = [
-    "CONSUMPTION_FLOOR",
     "ConfigError",
     "EngineConfig",
     "EngineError",
@@ -61,12 +57,10 @@ __all__ = [
     "PolicyMatrix",
     "ReferencePoint",
     "RunConfig",
-    "RunReport",
     "SimState",
     "StepDerived",
     "Trajectory",
     "compare_reference",
-    "config_from_dict",
     "crossover",
     "crowding_distance",
     "dominates",

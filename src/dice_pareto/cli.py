@@ -120,7 +120,9 @@ def _policy_from_args(args: argparse.Namespace, horizon: int) -> PolicyMatrix:
         if (not isinstance(mu, list) or not isinstance(s, list)
                 or len(mu) != horizon or len(s) != horizon):
             raise _UsageError(f"policy arrays must each have H = {horizon} entries")
-        if not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in mu + s):
+        # bool is an int subclass, but true/false are not rates
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+                   for v in mu + s):
             raise _UsageError("policy entries must be numbers in [0, 1]")
         return PolicyMatrix(np.array(mu, dtype=float), np.array(s, dtype=float))
     if args.mu is None or args.s is None:

@@ -291,11 +291,12 @@ def economy_step(state: SimState, mu: float, s: float, i: int, p: ModelParams) -
 class _Exogenous(NamedTuple):
     """The policy-independent paths of one ``ModelParams``.
 
-    State paths hold indices 0..H and step paths 0..H-1. When advancing the
-    exogenous states past state k fails, the state paths stop at k, the step
-    paths at step k, and ``failure`` holds the error message: a simulation
-    then fails at step k once that step's economy has been computed, just
-    where the one-step-at-a-time recursion would fail.
+    State paths hold indices 0..H and step paths 0..H-1. When step k fails
+    (its terms or advancing the exogenous states past state k), the state
+    paths stop at k, the step paths hold step k only if its terms were
+    computed, and ``failure`` holds the error message. Both recursions then
+    fail at step k, after that step's economy where it could be computed,
+    just where the one-step-at-a-time recursion would fail.
     """
 
     L: tuple[float, ...]
@@ -309,28 +310,32 @@ class _Exogenous(NamedTuple):
     failure: str | None
 
 
+def _failure(exc: ModelDomainError | OverflowError) -> str:
+    """The message of a step's domain error; a float overflow counts as one."""
+    return f"arithmetic overflow: {exc}" if isinstance(exc, OverflowError) else str(exc)
+
+
 @functools.lru_cache(maxsize=16)
 def _exogenous(p: ModelParams) -> _Exogenous:
     """Compute, once per parameter set, every path the policy cannot move."""
     L, A, sigma, E_Land = [p.L0], [p.A0], [p.sigma0], [p.E_L0]
+    terms = []  # (theta1, labour, forcing, discount) of each step
     failure = None
     for i in range(p.H):
         try:
+            terms.append((mitigation_cost_theta1(sigma[i], i, p), labour_factor(L[i], p),
+                          exogenous_forcing(i, p), discount_factor(i, p)))
             advanced = (step_population(L[i], p), step_tfp(A[i], i, p),
                         step_emission_intensity(sigma[i], i, p), land_emissions(i + 1, p))
-        except ModelDomainError as exc:
-            failure = str(exc)
+        except (ModelDomainError, OverflowError) as exc:
+            failure = _failure(exc)
             break
         for path, value in zip((L, A, sigma, E_Land), advanced):
             path.append(value)
-    steps = range(min(len(L), p.H))
+    theta1, labour, forcing, discount = tuple(zip(*terms)) or ((),) * 4
     return _Exogenous(
-        L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land),
-        theta1=tuple(mitigation_cost_theta1(sigma[i], i, p) for i in steps),
-        labour=tuple(labour_factor(L[i], p) for i in steps),
-        forcing=tuple(exogenous_forcing(i, p) for i in steps),
-        discount=tuple(discount_factor(i, p) for i in steps),
-        failure=failure,
+        L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=theta1,
+        labour=labour, forcing=forcing, discount=discount, failure=failure,
     )
 
 
@@ -338,7 +343,8 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     """Run the closed-loop dynamics over the horizon.
 
     Returns H+1 states and H derived records. Pure: repeated calls with the
-    same inputs give bit-identical trajectories.
+    same inputs give bit-identical trajectories. A domain error or a float
+    overflow in step i's economy raises ``ModelDomainError`` naming step i.
     """
     if policy.horizon != p.H:
         raise ModelDomainError(
@@ -357,8 +363,8 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
             d = economy_step(st, mu[i], s[i], i, p)
             if i + 1 == len(ex.L):
                 raise ModelDomainError(ex.failure)
-        except ModelDomainError as exc:
-            raise ModelDomainError(f"step {i}: {exc}") from exc
+        except (ModelDomainError, OverflowError) as exc:
+            raise ModelDomainError(f"step {i}: {_failure(exc)}") from exc
         M_AT, M_UP, M_LO = step_carbon(st.M_AT, st.M_UP, st.M_LO, d.E, p)
         T_AT, T_LO = step_climate(st.T_AT, st.T_LO, d.F, p)
         st = SimState(
@@ -453,10 +459,10 @@ def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
         _require(C > 0, i, "consumption must be positive", C)
         cpc = 1000.0 * C / ex.L[i]
         W += ex.L[i] * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha) / ex.discount[i]
-        if i + 1 == len(ex.L):
-            raise ModelDomainError(f"step {i}, row 0: {ex.failure}", row=0)
         M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
         T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
         K = step_capital(K, I, p)
         np.maximum(T_max, T_AT, out=T_max)
+    if ex.failure is not None:
+        raise ModelDomainError(f"step {len(ex.L) - 1}, row 0: {ex.failure}", row=0)
     return np.column_stack((W, T_max))

@@ -5,12 +5,14 @@ The engine minimizes (-W, T_max) over flat genomes of 2H genes in [0, 1]
 so every genome satisfies the bounds after every operator.
 
 Reproducibility contract: all stochastic draws come from one numpy Generator
-in a fixed, documented order. Per generation: for each offspring pair in index
-order, two tournament selections (two integer draws each) followed by the
-per-gene blend coefficients; then for each mutant in index order, one
-tournament selection followed by the per-gene mask uniforms and the per-gene
-Gaussian noise (both drawn in full regardless of the mask). Objective
-evaluation never touches the generator.
+in a fixed, documented order. Per generation, with m = n_offspring + n_mutants
+tournaments: the m first-entrant indices, then the m second-entrant indices;
+the (n_offspring/2, 2H) blend coefficients; the (n_mutants, 2H) mask uniforms;
+the (n_mutants, 2H) Gaussian noise (mask and noise drawn in full). Winners 2k
+and 2k+1 are the parents of pair k, and the last n_mutants winners are
+mutated in order. The children are stacked as the first child of every pair,
+then the second child of every pair, then the mutants. Objective evaluation
+never touches the generator.
 
 The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 (W, T_max), with per-row rank and crowding arrays carried alongside.
@@ -156,49 +158,45 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
 
 
 def tournament_select(
-    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Binary tournament: lower rank wins, then larger crowding, then first drawn."""
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Winners of ``size`` binary tournaments between two distinct rows: lower
+    rank wins, then larger crowding, then the row drawn first."""
     n = len(rank)
     if n < 2:
         raise EngineError(f"tournament needs at least 2 individuals, got {n}")
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i
+    i = rng.integers(n, size=size)
+    j = rng.integers(n - 1, size=size)
+    j += j >= i
+    first_wins = (rank[i] < rank[j]) | ((rank[i] == rank[j]) & (crowding[i] >= crowding[j]))
+    return np.where(first_wins, i, j)
 
 
 def crossover(
     parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-arithmetic blend with per-gene coefficient in U[-0.1, 1.1], clamped."""
+    """Whole-arithmetic blend with per-gene coefficient in U[-0.1, 1.1], clamped.
+
+    Works on matching arrays of any shape, e.g. (m, 2H) tables of m pairs.
+    """
     if parent_a.shape != parent_b.shape:
         raise EngineError(
             f"genome length mismatch: {parent_a.shape} vs {parent_b.shape}")
     beta = rng.uniform(BLEND_LOW, BLEND_HIGH, size=parent_a.shape)
     child_a = np.clip(beta * parent_a + (1.0 - beta) * parent_b, 0.0, 1.0)
     child_b = np.clip((1.0 - beta) * parent_a + beta * parent_b, 0.0, 1.0)
-    child_a.flags.writeable = False
-    child_b.flags.writeable = False
     return child_a, child_b
 
 
-def mutate(genome: np.ndarray, rng: np.random.Generator, cfg: EngineConfig) -> np.ndarray:
+def mutate(genomes: np.ndarray, rng: np.random.Generator, cfg: EngineConfig) -> np.ndarray:
     """Gaussian mutation: each gene perturbed with probability mutation_rate, clamped.
 
-    Mask uniforms and noise normals are both drawn for every gene so the
-    stream consumption does not depend on the mask.
+    Works on any shape. Mask uniforms and noise normals are both drawn for
+    every gene so the stream consumption does not depend on the mask.
     """
-    mask = rng.random(genome.shape) < cfg.mutation_rate
-    noise = rng.normal(0.0, cfg.mutation_step, size=genome.shape)
-    mutated = np.clip(np.where(mask, genome + noise, genome), 0.0, 1.0)
-    mutated.flags.writeable = False
-    return mutated
+    mask = rng.random(genomes.shape) < cfg.mutation_rate
+    noise = rng.normal(0.0, cfg.mutation_step, size=genomes.shape)
+    return np.clip(np.where(mask, genomes + noise, genomes), 0.0, 1.0)
 
 
 def initialize_population(
@@ -286,14 +284,10 @@ def evolve(
     n_offspring = _even_count(cfg.crossover_fraction, cfg.population_size)
     n_mutants = round(cfg.mutant_fraction * cfg.population_size)
     for _ in range(cfg.max_iterations):
-        children = np.empty((n_offspring + n_mutants, genomes.shape[1]))
-        for k in range(0, n_offspring, 2):
-            idx_a = tournament_select(rank, crowding, rng)
-            idx_b = tournament_select(rank, crowding, rng)
-            children[k], children[k + 1] = crossover(genomes[idx_a], genomes[idx_b], rng)
-        for k in range(n_offspring, len(children)):
-            idx = tournament_select(rank, crowding, rng)
-            children[k] = mutate(genomes[idx], rng, cfg)
+        winners = tournament_select(rank, crowding, rng, n_offspring + n_mutants)
+        pairs = crossover(genomes[winners[0:n_offspring:2]],
+                          genomes[winners[1:n_offspring:2]], rng)
+        children = np.concatenate((*pairs, mutate(genomes[winners[n_offspring:]], rng, cfg)))
         genomes = np.concatenate((genomes, children))
         objectives = np.concatenate((objectives, _evaluate(children, evaluator)))
         rank, crowding = _rank_and_crowd(objectives)
@@ -301,7 +295,9 @@ def evolve(
         genomes, objectives = genomes[keep], objectives[keep]
         rank, crowding = rank[keep], crowding[keep]
 
-    first = non_dominated_sort(objectives) == 1
+    # the merged rank marks the survivors' first front: if merged front 1 fit,
+    # every dominator of a surviving rank-2 row survived; if not, no rank 2 did
+    first = rank == 1
     return _build_archive(genomes[first], objectives[first])
 
 

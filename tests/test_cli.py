@@ -77,6 +77,31 @@ class TestSimulate:
                        "--out", str(tmp_path / "x")) == 1
         assert "H = 5" in capsys.readouterr().err
 
+    def test_policy_file_booleans_are_rejected(self, tmp_path, tiny_cfg, capsys):
+        # JSON true is a Python bool, which is an int equal to 1
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"mu": [True] * 5, "s": [0.25] * 5}))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", tiny_cfg, "--policy", str(policy),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "policy entries must be numbers" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, step", [({"dt": 1e6}, 0), ({"gamma": 1.5}, 11)])
+    def test_overflowing_calibration_is_one_line_runtime_error(self, tmp_path, capsys,
+                                                               model, step):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(cfg), "--mu", "0.5", "--s", "0.2",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: step {step}: arithmetic overflow")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_policy_and_constants_are_mutually_exclusive(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps({"mu": [1.0], "s": [0.25]}))

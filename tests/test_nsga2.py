@@ -120,40 +120,51 @@ class TestCrowding:
 class TestTournament:
     def test_lower_rank_always_wins(self):
         rank, crowding = np.array([1, 3]), np.zeros(2)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            assert tournament_select(rank, crowding, rng) == 0
+        winners = tournament_select(rank, crowding, np.random.default_rng(3), 20)
+        assert winners.tolist() == [0] * 20
 
     def test_crowding_breaks_rank_ties(self):
         rank, crowding = np.array([1, 1]), np.array([np.inf, 2.0])
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            assert tournament_select(rank, crowding, rng) == 0
+        winners = tournament_select(rank, crowding, np.random.default_rng(3), 20)
+        assert winners.tolist() == [0] * 20
 
     def test_seeded_winner_sequence_is_reproducible(self):
-        rng1 = np.random.default_rng(9)
-        rng2 = np.random.default_rng(9)
         objectives = np.array([(float(w), float(t)) for w, t in zip(range(6), range(6))])
         rank = non_dominated_sort(objectives)
         crowding = np.zeros(len(rank))
         for front in fronts_of(rank):
             crowding[front] = crowding_distance(objectives[front])
-        seq1 = [tournament_select(rank, crowding, rng1) for _ in range(50)]
-        seq2 = [tournament_select(rank, crowding, rng2) for _ in range(50)]
-        assert seq1 == seq2
+        seq1 = tournament_select(rank, crowding, np.random.default_rng(9), 50)
+        seq2 = tournament_select(rank, crowding, np.random.default_rng(9), 50)
+        assert seq1.shape == (50,)
+        assert np.array_equal(seq1, seq2)
 
     def test_needs_two_individuals(self):
         with pytest.raises(EngineError):
-            tournament_select(np.array([1]), np.zeros(1), np.random.default_rng(0))
+            tournament_select(np.array([1]), np.zeros(1), np.random.default_rng(0), 4)
+
+    def test_full_tie_returns_the_first_drawn_row(self):
+        rng = _StubRng(integers=[[0, 1, 2, 3, 2], [0, 0, 2, 2, 3]])
+        winners = tournament_select(np.ones(5, dtype=int), np.full(5, 0.5), rng, 5)
+        assert winners.tolist() == [0, 1, 2, 3, 2]
+
+    def test_second_entrant_is_never_the_first(self):
+        # row 2 is the only one of rank 2, so it loses to any other row: every
+        # second-entrant draw 0..3 maps to a distinct row other than 2
+        rng = _StubRng(integers=[[2, 2, 2, 2], [0, 1, 2, 3]])
+        winners = tournament_select(np.array([1, 1, 2, 1, 1]), np.zeros(5), rng, 4)
+        assert winners.tolist() == [0, 1, 3, 4]
 
 
 class _StubRng:
     """Minimal generator stand-in with fixed outputs for operator tests."""
 
-    def __init__(self, uniform_value=None, random_value=None, normal_value=None):
+    def __init__(self, uniform_value=None, random_value=None, normal_value=None,
+                 integers=()):
         self._uniform = uniform_value
         self._random = random_value
         self._normal = normal_value
+        self._integers = list(integers)
 
     def uniform(self, low, high, size):
         return np.full(size, self._uniform)
@@ -164,64 +175,68 @@ class _StubRng:
     def normal(self, loc, scale, size):
         return np.full(size, self._normal)
 
+    def integers(self, high, size):
+        values = np.array(self._integers.pop(0))
+        assert values.shape == (size,) and values.max() < high
+        return values
+
 
 class TestCrossover:
     def test_blend_coefficient_one_returns_parents(self):
-        a = np.array([0.1, 0.7, 0.3])
-        b = np.array([0.9, 0.2, 0.5])
+        a = np.array([[0.1, 0.7, 0.3], [0.4, 0.0, 1.0]])
+        b = np.array([[0.9, 0.2, 0.5], [0.6, 1.0, 0.0]])
         ca, cb = crossover(a, b, _StubRng(uniform_value=1.0))
         assert np.array_equal(ca, a)
         assert np.array_equal(cb, b)
 
     def test_blend_coefficient_half_gives_midpoint_twins(self):
-        a = np.array([0.0, 1.0])
-        b = np.array([1.0, 0.0])
+        a = np.array([[0.0, 1.0], [0.25, 0.75]])
+        b = np.array([[1.0, 0.0], [0.75, 0.25]])
         ca, cb = crossover(a, b, _StubRng(uniform_value=0.5))
         assert np.array_equal(ca, cb)
-        assert np.array_equal(ca, np.array([0.5, 0.5]))
+        assert np.array_equal(ca, np.full((2, 2), 0.5))
 
     def test_identical_parents_breed_true(self):
         rng = np.random.default_rng(4)
-        a = rng.random(74)
+        a = rng.random((10, 74))
         ca, cb = crossover(a, a.copy(), rng)
         np.testing.assert_allclose(ca, a, rtol=0, atol=1e-15)
         np.testing.assert_allclose(cb, a, rtol=0, atol=1e-15)
 
     def test_children_respect_box_bounds(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            a, b = rng.random(20), rng.random(20)
-            ca, cb = crossover(a, b, rng)
-            assert np.all((ca >= 0) & (ca <= 1))
-            assert np.all((cb >= 0) & (cb <= 1))
+        a, b = rng.random((50, 20)), rng.random((50, 20))
+        ca, cb = crossover(a, b, rng)
+        assert ca.shape == cb.shape == (50, 20)
+        assert np.all((ca >= 0) & (ca <= 1))
+        assert np.all((cb >= 0) & (cb <= 1))
+        assert not np.array_equal(ca, cb)
 
     def test_length_mismatch_is_an_error(self):
-        with pytest.raises(EngineError):
-            crossover(np.zeros(3), np.zeros(4), np.random.default_rng(0))
+        for shape_b in [(2, 4), (3, 3)]:
+            with pytest.raises(EngineError):
+                crossover(np.zeros((2, 3)), np.zeros(shape_b), np.random.default_rng(0))
 
 
 class TestMutate:
     def test_zero_rate_leaves_genome_untouched(self):
         cfg = EngineConfig(mutation_rate=0.0)
-        g = np.linspace(0, 1, 10)
+        g = np.random.default_rng(1).random((5, 10))
         assert np.array_equal(mutate(g, np.random.default_rng(1), cfg), g)
 
     def test_noise_is_clamped_at_the_box(self):
         cfg = EngineConfig(mutation_rate=0.5)
-        g = np.array([0.99, 0.01])
+        g = np.array([[0.99, 0.01], [0.01, 0.99]])
         out = mutate(g, _StubRng(random_value=0.0, normal_value=0.5), cfg)
-        assert out.tolist() == [1.0, 0.51]
+        assert out.tolist() == [[1.0, 0.51], [0.51, 1.0]]
         out = mutate(g, _StubRng(random_value=0.0, normal_value=-0.5), cfg)
-        assert out.tolist() == [0.49, 0.0]
+        assert out.tolist() == [[0.49, 0.0], [0.0, 0.49]]
 
     def test_expected_mutated_gene_count(self):
         cfg = EngineConfig()  # 3% per gene
-        rng = np.random.default_rng(21)
-        genome = np.full(74, 0.5)
         trials = 3000
-        changed = sum(
-            int(np.count_nonzero(mutate(genome, rng, cfg) != genome))
-            for _ in range(trials))
+        genomes = np.full((trials, 74), 0.5)
+        changed = np.count_nonzero(mutate(genomes, np.random.default_rng(21), cfg) != genomes)
         mean = changed / trials
         # binomial mean 74 * 0.03 = 2.22, se of the estimate ~ 0.027
         assert mean == pytest.approx(2.22, abs=0.15)
@@ -319,6 +334,43 @@ class TestEvolve:
                    np.random.default_rng(3))
         assert np.array_equal(a.objectives, b.objectives)
         assert np.array_equal(a.genomes, b.genomes)
+
+    def test_each_generation_calls_each_operator_once(self, monkeypatch):
+        import dice_pareto.nsga2 as engine
+
+        calls = []
+        for name in ("tournament_select", "crossover", "mutate"):
+            def counted(*args, _name=name, _op=getattr(engine, name)):
+                calls.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(engine, name, counted)
+        evolve(_small_cfg(max_iterations=5), _small_evaluator, SMALL_MODEL.H,
+               np.random.default_rng(3))
+        assert calls == ["tournament_select", "crossover", "mutate"] * 5
+
+    def test_children_follow_the_documented_draw_order(self):
+        # replay one generation from the module docstring's contract and
+        # compare it with the batch the engine sends to the evaluator
+        batches = []
+
+        def recording(genomes):
+            batches.append(genomes.copy())
+            return _small_evaluator(genomes)
+
+        cfg = _small_cfg(max_iterations=1)  # 8 offspring and 4 mutants of 12
+        evolve(cfg, recording, SMALL_MODEL.H, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        genomes = initialize_population(cfg, SMALL_MODEL.H, rng)
+        assert np.array_equal(batches[0], genomes)
+        objectives = _small_evaluator(genomes)
+        rank = non_dominated_sort(objectives)
+        crowding = np.zeros(len(rank))
+        for front in fronts_of(rank):
+            crowding[front] = crowding_distance(objectives[front])
+        w = tournament_select(rank, crowding, rng, 12)
+        first, second = crossover(genomes[w[0:8:2]], genomes[w[1:8:2]], rng)
+        mutants = mutate(genomes[w[8:]], rng, cfg)
+        assert np.array_equal(batches[1], np.concatenate((first, second, mutants)))
 
     def test_elitism_extremes_never_regress(self):
         # a run with m iterations replays the first m generations of a longer

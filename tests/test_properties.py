@@ -1,4 +1,5 @@
-"""Property-based checks of the batch simulator, the front sort and front files.
+"""Property-based checks of the batch simulator, the front sort, crowding and
+front files.
 
 The scalar ``evaluate_policy`` is the reference for ``evaluate_batch``; a
 brute-force dominance scan is the reference for ``non_dominated_sort``.
@@ -18,6 +19,7 @@ from dice_pareto import (
     FrontArchive,
     ModelParams,
     PolicyMatrix,
+    crowding_distance,
     evaluate_batch,
     evaluate_policy,
     load_front,
@@ -83,6 +85,32 @@ objective_tables = st.integers(0, 30).flatmap(lambda n: st.one_of(
 @given(objective_tables)
 def test_non_dominated_sort_matches_brute_force(objectives):
     assert non_dominated_sort(objectives).tolist() == _brute_force_rank(objectives).tolist()
+
+
+# integer-valued objectives keep ties common and make scaling preserve them
+grid_tables = st.integers(0, 12).flatmap(
+    lambda n: arrays(float, (n, 2), elements=st.integers(-50, 50).map(float)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_tables, st.floats(1e-3, 1e3), st.sampled_from([0, 1]))
+def test_crowding_invariants(objectives, scale, column):
+    d = crowding_distance(objectives)
+    assert d.shape == (len(objectives),)
+    assert not np.isnan(d).any()
+    assert (d >= 0).all()
+    if len(objectives) <= 2:
+        assert np.isinf(d).all()
+    for values in objectives.T if len(objectives) else ():
+        # one of the rows at each end of either objective is a boundary row
+        assert np.isinf(d[values == values.min()]).any()
+        assert np.isinf(d[values == values.max()]).any()
+    scaled = objectives.copy()
+    scaled[:, column] *= scale
+    d_scaled = crowding_distance(scaled)
+    assert np.array_equal(np.isinf(d_scaled), np.isinf(d))
+    finite = np.isfinite(d)
+    np.testing.assert_allclose(d_scaled[finite], d[finite], rtol=1e-12, atol=0)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

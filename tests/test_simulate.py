@@ -105,6 +105,20 @@ class TestEvaluateBatch:
             with pytest.raises(ModelDomainError, match="row 0"):
                 evaluate_batch(np.full((2, 2 * P.H), 0.5), explosive)
 
+    # dt = 1e6: emission intensity's exp overflows advancing state 0;
+    # gamma = 1.5: K ** gamma overflows in the scalar economy of step 11;
+    # dt = 1e4 and rho = 1e3: a discount factor overflows before its step
+    @pytest.mark.parametrize("overrides, step", [
+        ({"dt": 1e6}, 0), ({"gamma": 1.5}, 11), ({"dt": 1e4}, 5), ({"rho": 1e3}, 21)])
+    def test_overflow_fails_both_paths_at_the_same_step(self, overrides, step):
+        p = ModelParams(**overrides)
+        with pytest.raises(ModelDomainError, match=f"^step {step}: arithmetic overflow"):
+            simulate(constant_policy(0.5, 0.2), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError, match=f"^step {step}, row 0: "):
+                evaluate_batch(np.tile(constant_policy(0.5, 0.2).to_genome(), (3, 1)), p)
+
     @pytest.mark.parametrize("shape", [(3, 2 * P.H - 1), (2 * P.H,), (1, 2, 2 * P.H)])
     def test_wrong_shape_is_rejected(self, shape):
         with pytest.raises(ModelDomainError, match=r"\(n, 74\)"):
