@@ -30,6 +30,7 @@ from .harness import (
     persist_report,
     run_experiment,
     select_representatives,
+    write_files,
 )
 from .model import PolicyMatrix, simulate, t_at_max, welfare
 
@@ -141,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "trajectory.csv"
-    target.write_text(format_trajectory_csv(traj, policy))
+    write_files({target: format_trajectory_csv(traj, policy)})
     print(f"W = {welfare(traj):.6f}")
     print(f"T_AT_max = {t_at_max(traj):.6f}")
     print(f"trajectory written to {target}")
@@ -179,7 +180,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                              cfg.reference_points)
     text = format_comparison_csv(rows)
     target = Path(cfg.output_dir) / COMPARISON_FILE
-    target.write_text(text)
+    write_files({target: text})
     print(text, end="")
     print(f"comparison written to {target}")
     return EXIT_OK

@@ -120,7 +120,7 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     count = data.get("representative_count", 6)
-    if isinstance(count, bool) or not isinstance(count, (int, float)) or float(count) != int(count):
+    if _number(count, "representative_count") != int(count):
         raise ConfigError(f"representative_count must be an integer, got {count!r}")
     references = _parse_reference_points(
         data.get("reference_points", list(DEFAULT_REFERENCE_POINTS)))
@@ -257,41 +257,42 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise RuntimeError(f"failed to write {path}: {exc}") from exc
+def write_files(texts: dict[Path, str]) -> list[Path]:
+    """Write each text to its path; returns the paths.
 
-
-def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Write front, trajectories, comparison, and metadata files.
-
-    Returns the written paths. Each file is first written to a temporary
-    sibling (``<name>.tmp``), and the temporaries replace their targets only
-    after every write has succeeded: a failed call removes its temporaries
-    and leaves the files of any previous run in ``out_dir`` as they were.
+    Each file is first written to a temporary sibling (``<name>.tmp``), and
+    the temporaries replace their targets only after every write has
+    succeeded: a failed call removes its temporaries and leaves the files of
+    any previous run as they were.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    texts = {FRONT_FILE: format_front_csv(report.archive)}
-    for label, row, traj in report.representatives:
-        policy = PolicyMatrix.from_genome(report.archive.genomes[row])
-        texts[f"trajectory_{label}.csv"] = format_trajectory_csv(traj, policy)
-    texts[COMPARISON_FILE] = format_comparison_csv(report.comparison)
-    texts[METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
-    targets = [out / name for name in texts]
-    temps = [out / f"{name}.tmp" for name in texts]
+    temps = [path.with_name(f"{path.name}.tmp") for path in texts]
     try:
         for temp, text in zip(temps, texts.values()):
-            _write_text(temp, text)
-        for temp, target in zip(temps, targets):
+            try:
+                temp.write_text(text)
+            except OSError as exc:
+                raise RuntimeError(f"failed to write {temp}: {exc}") from exc
+        for temp, target in zip(temps, texts):
             os.replace(temp, target)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
-    return targets
+    return list(texts)
+
+
+def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
+    """Write front, trajectories, comparison, and metadata files with
+    ``write_files``; returns the written paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    texts = {out / FRONT_FILE: format_front_csv(report.archive)}
+    for label, row, traj in report.representatives:
+        policy = PolicyMatrix.from_genome(report.archive.genomes[row])
+        texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj, policy)
+    texts[out / COMPARISON_FILE] = format_comparison_csv(report.comparison)
+    texts[out / METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
+    return write_files(texts)
 
 
 def format_front_csv(archive: FrontArchive) -> str:

@@ -15,15 +15,17 @@ weighted isoelastic utility of per-capita consumption, to be maximized) and
 the peak atmospheric temperature deviation T_AT,max over the horizon (to be
 minimized).
 
-Two paths run the recursion. ``simulate`` / ``evaluate_policy`` advance one
-policy on Python floats and keep the whole trajectory; they are the n = 1
-path (``cli simulate``, representatives) and the reference the batch is
-tested against. ``evaluate_batch`` scores an (n, 2H) table of genomes at
-once, each dynamic state a length-n array, and is what the search calls once
-per generation. Both read the policy-independent paths (population, TFP,
-emission intensity, land-use emissions, and the per-step terms built from
-them) from one cache keyed on the frozen ``ModelParams``, filled on first
-use with the scalar step functions below.
+The policy recursion is written once, in ``_recursion``, and numpy
+broadcasting runs it on either rank: one genome (2H,) advances numpy-scalar
+states, an (n, 2H) table advances length-n arrays. ``simulate`` and
+``evaluate_policy`` run it on one policy (``cli simulate``, representatives);
+``evaluate_batch`` runs it on the whole population, once per generation. The
+per-step kernels below take floats or arrays alike and never raise: the
+recursion checks K > 0, M_AT > 0 and C > 0 for every step and row after its
+loop, and names the first failure. The policy-independent paths (population,
+TFP, emission intensity, land-use emissions, and the per-step terms built
+from them) come from one cache keyed on the frozen ``ModelParams``, filled on
+first use with the scalar step functions below.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -158,20 +160,17 @@ def step_tfp(A: float, i: int, p: ModelParams) -> float:
     return A / denom
 
 
-def gross_output(A: float, K: float, L: float, p: ModelParams) -> float:
-    """Cobb-Douglas gross output in trillions/yr.
-
-    Population enters in billions (L/1000, with L in millions): the standard
-    DICE-2016R calibration of A is built around that scaling and keeps output
-    near 105 trillion USD/yr in 2015.
-    """
-    if not (A > 0 and K > 0 and L > 0):
-        raise ModelDomainError(f"gross output needs positive A, K, L; got {A}, {K}, {L}")
-    return A * K**p.gamma * labour_factor(L, p)
+def gross_output(A: float, K: float, labour: float, p: ModelParams) -> float:
+    """Cobb-Douglas gross output in trillions/yr; ``labour`` is ``labour_factor(L, p)``."""
+    return A * K**p.gamma * labour
 
 
 def labour_factor(L: float, p: ModelParams) -> float:
-    """Labour input of gross output, (L/1000) ** (1 - gamma), with L in millions."""
+    """Labour input of gross output, (L/1000) ** (1 - gamma), with L in millions.
+
+    Population enters in billions: the standard DICE-2016R calibration of A is
+    built around that scaling and keeps output near 105 trillion USD/yr in 2015.
+    """
     return (L / 1000.0) ** (1.0 - p.gamma)
 
 
@@ -187,8 +186,6 @@ def mitigation_cost_theta1(sigma: float, i: int, p: ModelParams) -> float:
 
 def abatement_fraction(mu: float, theta1: float, p: ModelParams) -> float:
     """Share of gross output spent on mitigation: theta1 * mu ** theta2."""
-    if not 0.0 <= mu <= 1.0:
-        raise ModelDomainError(f"mitigation rate must lie in [0, 1], got {mu}")
     return theta1 * mu**p.theta2
 
 
@@ -209,8 +206,6 @@ def land_emissions(i: int, p: ModelParams) -> float:
 
 def total_emissions(sigma: float, mu: float, Y: float, E_Land: float) -> float:
     """Emissions from economic activity, scaled down by mitigation, plus land use."""
-    if not 0.0 <= mu <= 1.0:
-        raise ModelDomainError(f"mitigation rate must lie in [0, 1], got {mu}")
     return sigma * (1.0 - mu) * Y + E_Land
 
 
@@ -233,11 +228,10 @@ def exogenous_forcing(i: int, p: ModelParams) -> float:
     return p.f0 + min((p.f1 - p.f0) * i / p.t_f, p.f1 - p.f0)
 
 
-def radiative_forcing(M_AT: float, i: int, p: ModelParams) -> float:
-    """Total forcing: logarithmic in atmospheric carbon plus the exogenous term."""
-    if not M_AT > 0:
-        raise ModelDomainError(f"atmospheric carbon must be positive, got {M_AT}")
-    return p.F_2x * math.log2(M_AT / p.M_AT_1750) + exogenous_forcing(i, p)
+def radiative_forcing(M_AT: float, exogenous: float, p: ModelParams) -> float:
+    """Total forcing: logarithmic in atmospheric carbon plus the exogenous term
+    ``exogenous_forcing(i, p)``."""
+    return p.F_2x * np.log2(M_AT / p.M_AT_1750) + exogenous
 
 
 def step_climate(T_AT: float, T_LO: float, F: float, p: ModelParams) -> tuple[float, float]:
@@ -253,10 +247,6 @@ def utility(C: float, L: float, p: ModelParams) -> float:
     Per-capita consumption is expressed in thousands of 2010 USD per person
     per year (C in trillions, L in millions).
     """
-    if not C > 0:
-        raise ModelDomainError(f"consumption must be positive, got {C}")
-    if not L > 0:
-        raise ModelDomainError(f"population must be positive, got {L}")
     cpc = 1000.0 * C / L
     return L * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha)
 
@@ -266,37 +256,15 @@ def discount_factor(i: int, p: ModelParams) -> float:
     return (1.0 + p.rho) ** (i * p.dt)
 
 
-def economy_step(state: SimState, mu: float, s: float, i: int, p: ModelParams) -> StepDerived:
-    """All derived quantities of step i in one pass.
-
-    C = Q - I by construction, so consumption plus investment reconstructs
-    net output to the last bit.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ModelDomainError(f"saving rate must lie in [0, 1], got {s}")
-    Y = gross_output(state.A, state.K, state.L, p)
-    Omega = damage_factor(state.T_AT, p)
-    theta1 = mitigation_cost_theta1(state.sigma, i, p)
-    Lambda = abatement_fraction(mu, theta1, p)
-    Q = (1.0 - Lambda) * Omega * Y
-    I = s * Q
-    C = Q - I
-    E = total_emissions(state.sigma, mu, Y, state.E_Land)
-    F = radiative_forcing(state.M_AT, i, p)
-    U = utility(max(C, CONSUMPTION_FLOOR), state.L, p)
-    return StepDerived(Y=Y, Omega=Omega, Lambda=Lambda, Q=Q, I=I, C=C,
-                       E=E, F=F, theta1=theta1, U=U)
-
-
 class _Exogenous(NamedTuple):
     """The policy-independent paths of one ``ModelParams``.
 
     State paths hold indices 0..H and step paths 0..H-1. When step k fails
     (its terms or advancing the exogenous states past state k), the state
     paths stop at k, the step paths hold step k only if its terms were
-    computed, and ``failure`` holds the error message. Both recursions then
-    fail at step k, after that step's economy where it could be computed,
-    just where the one-step-at-a-time recursion would fail.
+    computed, and ``failure`` holds the error message. The recursion then
+    fails at step k, after that step's economy where it could be computed,
+    just where a one-step-at-a-time recursion would fail.
     """
 
     L: tuple[float, ...]
@@ -308,11 +276,6 @@ class _Exogenous(NamedTuple):
     forcing: tuple[float, ...]    # exogenous_forcing
     discount: tuple[float, ...]   # discount_factor
     failure: str | None
-
-
-def _failure(exc: ModelDomainError | OverflowError) -> str:
-    """The message of a step's domain error; a float overflow counts as one."""
-    return f"arithmetic overflow: {exc}" if isinstance(exc, OverflowError) else str(exc)
 
 
 @functools.lru_cache(maxsize=16)
@@ -327,8 +290,11 @@ def _exogenous(p: ModelParams) -> _Exogenous:
                           exogenous_forcing(i, p), discount_factor(i, p)))
             advanced = (step_population(L[i], p), step_tfp(A[i], i, p),
                         step_emission_intensity(sigma[i], i, p), land_emissions(i + 1, p))
-        except (ModelDomainError, OverflowError) as exc:
-            failure = _failure(exc)
+        except ModelDomainError as exc:
+            failure = str(exc)
+            break
+        except OverflowError as exc:  # a float overflow counts as a domain error
+            failure = f"arithmetic overflow: {exc}"
             break
         for path, value in zip((L, A, sigma, E_Land), advanced):
             path.append(value)
@@ -339,42 +305,115 @@ def _exogenous(p: ModelParams) -> _Exogenous:
     )
 
 
+# what the recursion checks for every step, in this order: K, M_AT and C
+_CHECKS = ("gross output needs positive capital K", "atmospheric carbon must be positive",
+           "consumption must be positive")
+
+
+def _fail(step: int, row: int | None, message: str) -> NoReturn:
+    """Raise a domain error naming the step and, for a table, the row."""
+    where = f"step {step}" if row is None else f"step {step}, row {row}"
+    raise ModelDomainError(f"{where}: {message}", row=row)
+
+
+class _Run(NamedTuple):
+    """One pass of the recursion: the objectives and each step's values."""
+
+    W: np.ndarray
+    T_max: np.ndarray
+    states: list[tuple]  # states 0..H: K, M_AT, M_UP, M_LO, T_AT, T_LO
+    flows: list[tuple]   # steps 0..H-1: Y, Omega, Q, I, C, E, F
+    Lambda: np.ndarray   # steps 0..H-1, one row per step
+    U: np.ndarray        # steps 0..H-1, one row per step
+
+
+# Overflow and invalid operations give inf/nan without a warning; the checks
+# after the loop report them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
+    """Run the closed-loop dynamics for one genome (2H,) or a table (n, 2H).
+
+    The same lines serve both ranks: one genome advances numpy scalars, a
+    table advances length-n arrays. Genes are clipped to [0, 1]. Utility
+    feeds nothing back, so it is evaluated for every step at once after the
+    loop. A capital stock, carbon mass or consumption that is not positive
+    raises ``ModelDomainError`` naming the first failing step (and row, for
+    a table); a non-finite one is reported as an arithmetic overflow.
+    """
+    ex = _exogenous(p)
+    steps = len(ex.theta1)
+    zero = np.zeros(genomes.shape[:-1])  # 0-d for one genome: states are scalars
+    column = (steps,) + (1,) * zero.ndim  # a step path against one row per step
+    # policy terms of every step at once, one row per step
+    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
+    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
+    Lambda = abatement_fraction(mu, np.reshape(ex.theta1, column), p)
+    kept = 1.0 - Lambda
+
+    K, M_AT, M_UP, M_LO, T_AT, T_LO = (
+        zero + v for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
+    states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
+    flows, checked = [], []
+    for i in range(steps):
+        Y = gross_output(ex.A[i], K, ex.labour[i], p)
+        Omega = damage_factor(T_AT, p)
+        Q = kept[i] * Omega * Y
+        I = s[i] * Q
+        E = total_emissions(ex.sigma[i], mu[i], Y, ex.E_Land[i])
+        F = radiative_forcing(M_AT, ex.forcing[i], p)
+        C = Q - I
+        flows.append((Y, Omega, Q, I, C, E, F))
+        checked.append((K, M_AT, C))
+        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
+        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
+        K = step_capital(K, I, p)
+        states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
+
+    checked = np.reshape(checked, (steps, 3) + zero.shape)  # K, M_AT, C of each step
+    floored = np.maximum(checked[:, 2], CONSUMPTION_FLOOR, out=checked[:, 2])
+    U = utility(floored, np.reshape(ex.L[:steps], column), p)
+    ok = checked > 0
+    if not ok.all():
+        step, check, *row = np.unravel_index(np.argmin(ok), ok.shape)
+        value = checked[(step, check, *row)]
+        message = f"{_CHECKS[check]}, got {value}"
+        if not np.isfinite(value):
+            message = f"arithmetic overflow: {message}"
+        _fail(int(step), int(row[0]) if row else None, message)
+    if ex.failure is not None:
+        _fail(len(ex.L) - 1, 0 if zero.ndim else None, ex.failure)
+    W = sum(U / np.reshape(ex.discount, column), zero)  # step by step, in order
+    T_max = np.max([state[4] for state in states], axis=0)
+    return _Run(W=W, T_max=T_max, states=states, flows=flows, Lambda=Lambda, U=U)
+
+
+def _genome(policy: PolicyMatrix, p: ModelParams) -> np.ndarray:
+    """The policy as one genome, once its horizon is checked against ``p``."""
+    if policy.horizon != p.H:
+        raise ModelDomainError(
+            f"policy horizon {policy.horizon} does not match configured H = {p.H}"
+        )
+    return policy.to_genome()
+
+
 def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     """Run the closed-loop dynamics over the horizon.
 
     Returns H+1 states and H derived records. Pure: repeated calls with the
     same inputs give bit-identical trajectories. A domain error or a float
-    overflow in step i's economy raises ``ModelDomainError`` naming step i.
+    overflow in step i raises ``ModelDomainError`` naming step i.
     """
-    if policy.horizon != p.H:
-        raise ModelDomainError(
-            f"policy horizon {policy.horizon} does not match configured H = {p.H}"
-        )
+    run = _recursion(_genome(policy, p), p)
     ex = _exogenous(p)
-    # plain Python floats keep the scalar recursion off numpy's slower
-    # scalar path; the arithmetic is bit-identical either way
-    mu = policy.mu.tolist()
-    s = policy.s.tolist()
-    states = [initial_state(p)]
-    derived: list[StepDerived] = []
-    st = states[0]
-    for i in range(p.H):
-        try:
-            d = economy_step(st, mu[i], s[i], i, p)
-            if i + 1 == len(ex.L):
-                raise ModelDomainError(ex.failure)
-        except (ModelDomainError, OverflowError) as exc:
-            raise ModelDomainError(f"step {i}: {_failure(exc)}") from exc
-        M_AT, M_UP, M_LO = step_carbon(st.M_AT, st.M_UP, st.M_LO, d.E, p)
-        T_AT, T_LO = step_climate(st.T_AT, st.T_LO, d.F, p)
-        st = SimState(
-            L=ex.L[i + 1], A=ex.A[i + 1], K=step_capital(st.K, d.I, p),
-            sigma=ex.sigma[i + 1], E_Land=ex.E_Land[i + 1],
-            M_AT=M_AT, M_UP=M_UP, M_LO=M_LO, T_AT=T_AT, T_LO=T_LO,
-        )
-        derived.append(d)
-        states.append(st)
-    return Trajectory(states=tuple(states), derived=tuple(derived), params=p)
+    K, M_AT, M_UP, M_LO, T_AT, T_LO = np.array(run.states).T.tolist()
+    Y, Omega, Q, I, C, E, F = np.reshape(run.flows, (-1, 7)).T.tolist()
+    return Trajectory(
+        states=tuple(map(SimState, ex.L, ex.A, K, ex.sigma, ex.E_Land,
+                         M_AT, M_UP, M_LO, T_AT, T_LO)),
+        derived=tuple(map(StepDerived, Y, Omega, run.Lambda.tolist(), Q, I, C, E, F,
+                          ex.theta1, run.U.tolist())),
+        params=p,
+    )
 
 
 def welfare(traj: Trajectory, p: ModelParams | None = None) -> float:
@@ -394,33 +433,19 @@ def t_at_max(traj: Trajectory) -> float:
 
 def evaluate_policy(policy: PolicyMatrix, p: ModelParams) -> ObjectivePair:
     """Simulate a policy and score it: (welfare, peak temperature deviation)."""
-    traj = simulate(policy, p)
-    return ObjectivePair(W=welfare(traj, p), T_max=t_at_max(traj))
+    run = _recursion(_genome(policy, p), p)
+    return ObjectivePair(W=float(run.W), T_max=float(run.T_max))
 
 
-def _require(ok: np.ndarray, step: int, message: str, values: np.ndarray) -> None:
-    """Raise for the first row where ``ok`` is False, naming the step, the row
-    and that row's value."""
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise ModelDomainError(f"step {step}, row {row}: {message}, got {values[row]}",
-                               row=row)
-
-
-# Overflow and invalid operations give inf/nan without a warning: a nan in K,
-# M_AT or C fails its domain check, and the engine rejects rows whose
-# objectives are not finite.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
     """Score n policies at once: (n, 2H) genomes to an (n, 2) table of (W, T_max).
 
-    Row k scores like ``evaluate_policy(PolicyMatrix.from_genome(genomes[k]), p)``:
-    genes are clipped to [0, 1], and each step repeats the scalar path's
-    operations term by term on length-n arrays. The two agree to a few ulps,
-    not bitwise, because numpy's vectorised ``power`` and ``log2`` may round
-    the last bit differently from the C library. A domain failure raises
-    ``ModelDomainError`` naming the step and the first failing row, which it
-    also carries as ``exc.row``.
+    Row k scores like ``evaluate_policy(PolicyMatrix.from_genome(genomes[k]), p)``,
+    through the same recursion on length-n arrays. The two agree to a few
+    ulps, not bitwise, because numpy's vectorised ``power`` and ``log2`` may
+    round the last bit differently from its scalar ones. A domain failure
+    raises ``ModelDomainError`` naming the step and the first failing row,
+    which it also carries as ``exc.row``.
     """
     genomes = np.asarray(genomes, dtype=float)
     H = p.H
@@ -431,38 +456,7 @@ def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         raise ModelDomainError(f"row {row}: policy entries must be finite", row=row)
-    n = len(genomes)
-    if n == 0:
+    if len(genomes) == 0:
         return np.empty((0, 2))
-    ex = _exogenous(p)
-    steps = len(ex.theta1)
-    # policy terms of every step at once, one row per step
-    mu = np.clip(genomes[:, :steps].T, 0.0, 1.0)
-    s = np.clip(genomes[:, H:H + steps].T, 0.0, 1.0)
-    kept = 1.0 - np.array(ex.theta1)[:, None] * mu**p.theta2   # 1 - Lambda
-    emitting = np.array(ex.sigma[:steps])[:, None] * (1.0 - mu)
-
-    K = np.full(n, p.K0)
-    M_AT, M_UP, M_LO = np.full(n, p.M_AT0), np.full(n, p.M_UP0), np.full(n, p.M_LO0)
-    T_AT, T_LO = np.full(n, p.T_AT0), np.full(n, p.T_LO0)
-    W = np.zeros(n)
-    T_max = T_AT.copy()
-    for i in range(steps):
-        _require(K > 0, i, "gross output needs positive capital K", K)
-        Y = ex.A[i] * K**p.gamma * ex.labour[i]
-        Q = kept[i] * damage_factor(T_AT, p) * Y
-        I = s[i] * Q
-        E = emitting[i] * Y + ex.E_Land[i]
-        _require(M_AT > 0, i, "atmospheric carbon must be positive", M_AT)
-        F = p.F_2x * np.log2(M_AT / p.M_AT_1750) + ex.forcing[i]
-        C = np.maximum(Q - I, CONSUMPTION_FLOOR)
-        _require(C > 0, i, "consumption must be positive", C)
-        cpc = 1000.0 * C / ex.L[i]
-        W += ex.L[i] * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha) / ex.discount[i]
-        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
-        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
-        K = step_capital(K, I, p)
-        np.maximum(T_max, T_AT, out=T_max)
-    if ex.failure is not None:
-        raise ModelDomainError(f"step {len(ex.L) - 1}, row 0: {ex.failure}", row=0)
-    return np.column_stack((W, T_max))
+    run = _recursion(genomes, p)
+    return np.column_stack((run.W, run.T_max))

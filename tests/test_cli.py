@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,10 @@ def clean_seed_env(monkeypatch):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _disk_full(self, text, *args, **kwargs):
+    raise OSError(28, "No space left on device")
 
 
 class TestSimulate:
@@ -101,6 +106,28 @@ class TestSimulate:
         assert err.startswith(f"runtime error: step {step}: arithmetic overflow")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    def test_non_finite_representative_count_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"representative_count": {value}}}')
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(cfg), "--mu", "0.5", "--s", "0.2",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: representative_count must be a finite number")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_write_keeps_the_previous_trajectory(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--mu", "0.5", "--s", "0.2", "--out", str(out)) == 0
+        previous = (out / "trajectory.csv").read_bytes()
+        monkeypatch.setattr(Path, "write_text", _disk_full)
+        assert run_cli("simulate", "--mu", "0.9", "--s", "0.3", "--out", str(out)) == 2
+        assert "trajectory.csv" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["trajectory.csv"]
+        assert (out / "trajectory.csv").read_bytes() == previous
 
     def test_policy_and_constants_are_mutually_exclusive(self, tmp_path, capsys):
         policy = tmp_path / "policy.json"
@@ -194,6 +221,17 @@ class TestReport:
                        "--representatives", "2") == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 1  # header, two representatives, MPC row
+
+    def test_failed_write_keeps_the_previous_comparison(self, tmp_path, tiny_cfg, capsys,
+                                                        monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out)) == 0
+        previous = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr(Path, "write_text", _disk_full)
+        assert run_cli("report", "--config", tiny_cfg, "--out", str(out),
+                       "--representatives", "2") == 2
+        assert "comparison.csv" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 
     def test_missing_front_file_names_path_and_fails(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

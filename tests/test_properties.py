@@ -1,7 +1,8 @@
-"""Property-based checks of the batch simulator, the front sort, crowding and
+"""Property-based checks of the model recursion, the front sort, crowding and
 front files.
 
-The scalar ``evaluate_policy`` is the reference for ``evaluate_batch``; a
+Each ``evaluate_batch`` row is checked against the single-policy
+``evaluate_policy``, and both against the 40-digit ``oracle.resimulate``; a
 brute-force dominance scan is the reference for ``non_dominated_sort``.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracle import resimulate
 
 from dice_pareto import (
     FrontArchive,
@@ -24,12 +26,17 @@ from dice_pareto import (
     evaluate_policy,
     load_front,
     non_dominated_sort,
+    simulate,
 )
 from dice_pareto.harness import format_front_csv
+from dice_pareto.model import discount_factor
 
-# numpy's vectorised pow/log2 may differ from the C library in the last bit,
-# so the batch and the scalar path agree to a few ulps, not bitwise
+# numpy's vectorised pow/log2 may differ from its scalar ones in the last
+# bit, so a batch row and the single-policy path agree to a few ulps, not
+# bitwise
 BATCH_REL_TOL = 1e-13
+# float64 against 40 digits; the largest deviation seen is about 3e-15
+ORACLE_REL_TOL = 1e-12
 
 unit_floats = st.floats(-0.5, 1.5)  # both paths clip genes into [0, 1]
 
@@ -42,6 +49,16 @@ def genome_batches(draw):
     return p, draw(arrays(float, (n, 2 * H), elements=unit_floats))
 
 
+def assert_objectives_close(got, want, genome, p, rtol):
+    """W within rtol of the sum of the absolute discounted utility terms that
+    add up to it (that sum is |W| unless the terms cancel, and it sets the
+    scale of W's rounding error either way); T_max within rtol of itself."""
+    traj = simulate(PolicyMatrix.from_genome(genome), p)
+    scale = sum(abs(d.U) / discount_factor(i, p) for i, d in enumerate(traj.derived))
+    assert abs(got[0] - want[0]) <= rtol * scale, (got[0], want[0], scale)
+    assert abs(got[1] - want[1]) <= rtol * abs(want[1]), (got[1], want[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(genome_batches())
 def test_batch_matches_scalar_row_by_row(case):
@@ -50,7 +67,31 @@ def test_batch_matches_scalar_row_by_row(case):
     assert got.shape == (len(genomes), 2)
     for row, genome in zip(got, genomes):
         want = evaluate_policy(PolicyMatrix.from_genome(genome), p)
-        np.testing.assert_allclose(row, want, rtol=BATCH_REL_TOL, atol=0)
+        assert_objectives_close(row, want, genome, p, BATCH_REL_TOL)
+
+
+@st.composite
+def oracle_batches(draw):
+    H = draw(st.sampled_from([0, 1, 6, 10]))
+    n = draw(st.integers(1, 4))
+    mu = draw(arrays(float, (n, H), elements=st.floats(0.0, 1.0)))
+    # C = Q - s * Q loses relative accuracy in float64 as s nears 1, which
+    # the 40-digit oracle does not; the batch-against-scalar property above
+    # covers the whole range
+    s = draw(arrays(float, (n, H), elements=st.floats(0.0, 0.9)))
+    return ModelParams(H=H), np.hstack((mu, s))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_batches())
+def test_batch_single_policy_and_oracle_agree(case):
+    p, genomes = case
+    batch = evaluate_batch(genomes, p)
+    for row, genome in zip(batch, genomes):
+        single = evaluate_policy(PolicyMatrix.from_genome(genome), p)
+        assert_objectives_close(row, single, genome, p, BATCH_REL_TOL)
+        _, W, T_max = resimulate(genome[:p.H], genome[p.H:])
+        assert_objectives_close(single, (W, T_max), genome, p, ORACLE_REL_TOL)
 
 
 def test_empty_batch_gives_empty_table():

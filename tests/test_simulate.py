@@ -1,24 +1,25 @@
 """Trajectory-level behavior, including an independent high-precision oracle.
 
-The oracle in TestAgainstIndependentResimulation restates every constant
-literally and advances the full state recursion with mpmath at 40 digits,
-sharing no code with the implementation under test.
+TestAgainstIndependentResimulation checks trajectories against the 40-digit
+re-derivation in ``oracle.resimulate``, which shares no code with the
+implementation under test.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from oracle import resimulate
 
 from dice_pareto import (
     ModelDomainError,
     ModelParams,
     ObjectivePair,
     PolicyMatrix,
-    SimState,
     StepDerived,
     Trajectory,
     evaluate_batch,
@@ -116,8 +117,37 @@ class TestEvaluateBatch:
             simulate(constant_policy(0.5, 0.2), p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelDomainError, match=f"^step {step}, row 0: "):
+            with pytest.raises(ModelDomainError, match=f"^step {step}, row 0: arithmetic overflow"):
                 evaluate_batch(np.tile(constant_policy(0.5, 0.2).to_genome(), (3, 1)), p)
+
+    # K < 0: a high backstop price makes abatement cost more than output under
+    # strong mitigation; M_AT < 0: the atmosphere box loses more than it holds;
+    # C = nan: K ** gamma overflows and inf - inf leaves no consumption
+    @pytest.mark.parametrize("overrides, step, row, message", [
+        ({"p_b": 20000.0}, 2, 1, "gross output needs positive capital K, got -37.26"),
+        ({"zeta11": -1.0}, 1, 0, "atmospheric carbon must be positive, got -7"),
+        ({"gamma": 1.5}, 11, 1, "arithmetic overflow: consumption must be positive, got nan"),
+    ], ids=["capital", "carbon", "consumption"])
+    def test_domain_failure_names_the_step_on_both_ranks(self, overrides, step, row, message):
+        p = ModelParams(**overrides)
+        failing = constant_policy(0.9, 0.2)
+        with pytest.raises(ModelDomainError, match=f"^step {step}: {re.escape(message)}") as exc:
+            simulate(failing, p)
+        assert exc.value.row is None
+        with pytest.raises(ModelDomainError, match=f"^step {step}: {re.escape(message)}"):
+            evaluate_policy(failing, p)
+        genomes = np.stack([constant_policy(0.0, 0.0).to_genome(), failing.to_genome()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError,
+                               match=f"^step {step}, row {row}: {re.escape(message)}") as exc:
+                evaluate_batch(genomes, p)
+        assert exc.value.row == row
+
+    def test_rates_outside_the_unit_interval_are_clipped(self):
+        genomes = np.stack([np.full(2 * P.H, 1.7), np.full(2 * P.H, -0.3)])
+        clipped = np.stack([np.ones(2 * P.H), np.zeros(2 * P.H)])
+        assert np.array_equal(evaluate_batch(genomes, P), evaluate_batch(clipped, P))
 
     @pytest.mark.parametrize("shape", [(3, 2 * P.H - 1), (2 * P.H,), (1, 2, 2 * P.H)])
     def test_wrong_shape_is_rejected(self, shape):
@@ -272,55 +302,10 @@ class TestAgainstIndependentResimulation:
         H = 10
         p = ModelParams(H=H)
         traj = simulate(constant_policy(mu_val, s_val, H=H), p)
-
-        # constants restated literally, independent of the params module
-        ell_g, L_a = mpf("0.134"), mpf(11500)
-        gamma, g_A, delta_A = mpf("0.3"), mpf("0.076"), mpf("0.005")
-        delta_K, theta2 = mpf("0.1"), mpf("2.6")
-        p_b, delta_pb = mpf(550), mpf("0.025")
-        psi2 = mpf("0.00236")
-        g_sigma, delta_sigma = mpf("0.0152"), mpf("0.001")
-        delta_EL, E_L0 = mpf("0.115"), mpf("2.6")
-        xi1, xi2 = mpf("0.1005"), mpf(3) / 11
-        F_2x, M1750 = mpf("3.6813"), mpf(588)
-        f0, f1, t_f = mpf("0.5"), mpf(1), mpf(17)
-        dt = mpf(5)
-        mu, s = mpf(repr(mu_val)), mpf(repr(s_val))
-
-        L, A, K = mpf(7403), mpf("5.115"), mpf(223)
-        sigma, E_Land = mpf("0.3503"), mpf("2.6")
-        M_AT, M_UP, M_LO = mpf(851), mpf(460), mpf(1740)
-        T_AT, T_LO = mpf("0.85"), mpf("0.0068")
-
-        for i in range(H):
-            Y = A * K**gamma * (L / 1000) ** (1 - gamma)
-            Omega = 1 / (1 + psi2 * T_AT**2)
-            theta1 = p_b / (1000 * theta2) * (1 - delta_pb) ** i * sigma
-            Q = (1 - theta1 * mu**theta2) * Omega * Y
-            I = s * Q
-            E = sigma * (1 - mu) * Y + E_Land
-            F = F_2x * mp.log(M_AT / M1750) / mp.log(2) + f0 + min(
-                (f1 - f0) * i / t_f, f1 - f0)
-            L = ((1 + L_a) / (1 + L)) ** ell_g * L
-            A = A / (1 - g_A * mp.exp(-delta_A * i * dt))
-            K = (1 - delta_K) ** dt * K + I * dt
-            sigma = sigma / mp.exp(dt * g_sigma * (1 - delta_sigma) ** (i * dt))
-            E_Land = E_L0 * (1 - delta_EL) ** (i + 1)
-            M_AT, M_UP, M_LO = (
-                mpf("0.88") * M_AT + mpf("0.196") * M_UP + xi2 * E * dt,
-                mpf("0.12") * M_AT + mpf("0.797") * M_UP + mpf("0.001465") * M_LO,
-                mpf("0.007") * M_UP + mpf("0.99853488") * M_LO,
-            )
-            T_AT, T_LO = (
-                mpf("0.8718") * T_AT + mpf("0.0088") * T_LO + xi1 * F,
-                mpf("0.025") * T_AT + mpf("0.975") * T_LO,
-            )
-            got = traj.states[i + 1]
-            expected = SimState(
-                L=float(L), A=float(A), K=float(K), sigma=float(sigma),
-                E_Land=float(E_Land), M_AT=float(M_AT), M_UP=float(M_UP),
-                M_LO=float(M_LO), T_AT=float(T_AT), T_LO=float(T_LO))
-            for name, want in expected._asdict().items():
+        states, _, _ = resimulate([mu_val] * H, [s_val] * H)
+        for i, expected in enumerate(states):
+            got = traj.states[i]
+            for name, want in expected.items():
                 have = getattr(got, name)
                 assert have == pytest.approx(want, rel=1e-10), (i, name)
 
