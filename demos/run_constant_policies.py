@@ -8,7 +8,7 @@ plotted. Run from the repository root:
     python demos/run_constant_policies.py
 """
 
-from dice_pareto import ModelParams, PolicyMatrix, simulate, t_at_max, welfare
+from dice_pareto import ModelParams, PolicyMatrix, simulate
 from dice_pareto.harness import format_trajectory_csv
 
 params = ModelParams()
@@ -17,18 +17,16 @@ print(f"horizon: {params.H} steps of {params.dt:g} years, "
 print()
 print(f"{'mu':>5} {'peak T_AT [degC]':>18} {'welfare':>14}")
 for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-    policy = PolicyMatrix.constant(mu, 0.25, params.H)
-    traj = simulate(policy, params)
-    print(f"{mu:>5.2f} {t_at_max(traj):>18.4f} {welfare(traj):>14.1f}")
+    traj = simulate(PolicyMatrix.constant(mu, 0.25, params.H), params)
+    print(f"{mu:>5.2f} {traj.T_max:>18.4f} {traj.W:>14.1f}")
 
 print()
-policy = PolicyMatrix.constant(1.0, 0.25, params.H)
-traj = simulate(policy, params)
+traj = simulate(PolicyMatrix.constant(1.0, 0.25, params.H), params)
 print("full mitigation: economy-related emissions are cancelled, only the")
 print("declining land-use emissions remain, and warming still peaks at")
-print(f"{t_at_max(traj):.3f} degC because of carbon already in the atmosphere.")
+print(f"{traj.T_max:.3f} degC because of carbon already in the atmosphere.")
 
 out = "constant_full_mitigation.csv"
 with open(out, "w") as fh:
-    fh.write(format_trajectory_csv(traj, policy))
+    fh.write(format_trajectory_csv(traj))
 print(f"trajectory written to {out}")

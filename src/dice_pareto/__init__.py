@@ -13,22 +13,16 @@ from .params import ModelParams
 from .model import (
     ObjectivePair,
     PolicyMatrix,
-    SimState,
-    StepDerived,
     Trajectory,
     evaluate_batch,
     evaluate_policy,
-    initial_state,
     simulate,
-    t_at_max,
-    welfare,
 )
 from .nsga2 import (
     EngineConfig,
     FrontArchive,
     crossover,
     crowding_distance,
-    dominates,
     evolve,
     initialize_population,
     mutate,
@@ -57,17 +51,13 @@ __all__ = [
     "PolicyMatrix",
     "ReferencePoint",
     "RunConfig",
-    "SimState",
-    "StepDerived",
     "Trajectory",
     "compare_reference",
     "crossover",
     "crowding_distance",
-    "dominates",
     "evaluate_batch",
     "evaluate_policy",
     "evolve",
-    "initial_state",
     "initialize_population",
     "load_config",
     "load_front",
@@ -77,7 +67,5 @@ __all__ = [
     "run_experiment",
     "select_representatives",
     "simulate",
-    "t_at_max",
     "tournament_select",
-    "welfare",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .harness import (
     select_representatives,
     write_files,
 )
-from .model import PolicyMatrix, simulate, t_at_max, welfare
+from .model import PolicyMatrix, simulate
 
 SEED_ENV_VAR = "DICE_PARETO_SEED"
 
@@ -53,6 +54,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache  # built on the first call, then shared: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dice-pareto",
                      description="DICE-2016R simulation and bi-objective policy search")
@@ -142,9 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "trajectory.csv"
-    write_files({target: format_trajectory_csv(traj, policy)})
-    print(f"W = {welfare(traj):.6f}")
-    print(f"T_AT_max = {t_at_max(traj):.6f}")
+    write_files({target: format_trajectory_csv(traj)})
+    print(f"W = {traj.W:.6f}")
+    print(f"T_AT_max = {traj.T_max:.6f}")
     print(f"trajectory written to {target}")
     return EXIT_OK
 

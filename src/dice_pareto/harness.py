@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -287,9 +288,8 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts = {out / FRONT_FILE: format_front_csv(report.archive)}
-    for label, row, traj in report.representatives:
-        policy = PolicyMatrix.from_genome(report.archive.genomes[row])
-        texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj, policy)
+    for label, _, traj in report.representatives:
+        texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj)
     texts[out / COMPARISON_FILE] = format_comparison_csv(report.comparison)
     texts[out / METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
     return write_files(texts)
@@ -312,20 +312,15 @@ TRAJECTORY_COLUMNS = ["year", "T_AT", "T_LO", "E", "M_AT", "M_UP", "M_LO",
                       "Y", "Q", "C", "I", "mu", "s"]
 
 
-def format_trajectory_csv(traj: Trajectory, policy: PolicyMatrix) -> str:
+def format_trajectory_csv(traj: Trajectory) -> str:
     """H+1 rows; step-derived and control columns are empty on the final row."""
     p = traj.params
+    columns = {**traj.states, **traj.derived, "mu": traj.policy.mu, "s": traj.policy.s}
+    # Python floats: _fmt formats them faster than numpy scalars
+    cells = [list(map(_fmt, [p.year(i) for i in range(p.H + 1)]))]
+    cells += [list(map(_fmt, columns[name].tolist())) for name in TRAJECTORY_COLUMNS[1:]]
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for i, st in enumerate(traj.states):
-        cells = [_fmt(p.year(i)), _fmt(st.T_AT), _fmt(st.T_LO)]
-        if i < len(traj.derived):
-            d = traj.derived[i]
-            per_step = [d.E, st.M_AT, st.M_UP, st.M_LO, d.Y, d.Q, d.C, d.I,
-                        policy.mu[i], policy.s[i]]
-            cells += [_fmt(v) for v in per_step]
-        else:
-            cells += ["", _fmt(st.M_AT), _fmt(st.M_UP), _fmt(st.M_LO), "", "", "", "", "", ""]
-        lines.append(",".join(cells))
+    lines += map(",".join, itertools.zip_longest(*cells, fillvalue=""))
     return "\n".join(lines) + "\n"
 
 

@@ -17,8 +17,10 @@ minimized).
 
 The policy recursion is written once, in ``_recursion``, and numpy
 broadcasting runs it on either rank: one genome (2H,) advances numpy-scalar
-states, an (n, 2H) table advances length-n arrays. ``simulate`` and
-``evaluate_policy`` run it on one policy (``cli simulate``, representatives);
+states, an (n, 2H) table advances length-n arrays. It is the one place W and
+T_AT,max are computed. ``simulate`` and ``evaluate_policy`` run it on one
+policy (``cli simulate``, representatives); ``simulate`` returns its W and
+T_max with the states and flows as named columns in a ``Trajectory``.
 ``evaluate_batch`` runs it on the whole population, once per generation. The
 per-step kernels below take floats or arrays alike and never raise: the
 recursion checks K > 0, M_AT > 0 and C > 0 for every step and row after its
@@ -44,36 +46,6 @@ from .params import ModelParams
 # that s = 1, which the search space can represent, scores terribly instead of
 # crashing.
 CONSUMPTION_FLOOR = 1e-6
-
-
-class SimState(NamedTuple):
-    """The ten dynamic state variables at one time step."""
-
-    L: float        # population, millions
-    A: float        # total factor productivity
-    K: float        # capital, trillions 2010 USD
-    sigma: float    # emission intensity of gross output
-    E_Land: float   # land-use emissions, GtCO2/yr
-    M_AT: float     # atmospheric carbon, GtC
-    M_UP: float     # upper-ocean carbon, GtC
-    M_LO: float     # lower-ocean carbon, GtC
-    T_AT: float     # atmospheric temperature deviation, deg C
-    T_LO: float     # lower-ocean temperature deviation, deg C
-
-
-class StepDerived(NamedTuple):
-    """Per-step derived quantities; defined for steps 0..H-1."""
-
-    Y: float        # gross output, trillions/yr
-    Omega: float    # climate damage factor in (0, 1]
-    Lambda: float   # abatement cost fraction of gross output
-    Q: float        # net output, trillions/yr
-    I: float        # investment, trillions/yr
-    C: float        # consumption, trillions/yr
-    E: float        # total emissions, GtCO2/yr
-    F: float        # radiative forcing, W/m^2
-    theta1: float   # mitigation cost coefficient
-    U: float        # undiscounted utility contribution
 
 
 class ObjectivePair(NamedTuple):
@@ -128,19 +100,25 @@ class PolicyMatrix:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """H+1 states (indices 0..H) plus the H per-step derived records."""
+    """One simulated policy: the recursion's objectives and its named columns.
 
-    states: tuple[SimState, ...]
-    derived: tuple[StepDerived, ...]
+    ``states`` maps each state to its H+1 values (indices 0..H): K (capital,
+    trillions 2010 USD), M_AT, M_UP, M_LO (carbon, GtC), T_AT, T_LO
+    (temperature deviations, deg C), L (population, millions), A (TFP), sigma
+    (emission intensity) and E_Land (land-use emissions, GtCO2/yr).
+    ``derived`` maps each per-step quantity to its H values (steps 0..H-1):
+    Y (gross output, trillions/yr), Omega (damage factor), Lambda (abatement
+    cost fraction), Q (net output), I (investment), C (consumption), E
+    (emissions, GtCO2/yr), F (forcing, W/m^2), theta1 (mitigation cost
+    coefficient) and U (undiscounted utility).
+    """
+
+    W: float
+    T_max: float
+    states: dict[str, np.ndarray]
+    derived: dict[str, np.ndarray]
+    policy: PolicyMatrix
     params: ModelParams
-
-
-def initial_state(p: ModelParams) -> SimState:
-    """State at step 0 (year t0), from the configured initial conditions."""
-    return SimState(
-        L=p.L0, A=p.A0, K=p.K0, sigma=p.sigma0, E_Land=p.E_L0,
-        M_AT=p.M_AT0, M_UP=p.M_UP0, M_LO=p.M_LO0, T_AT=p.T_AT0, T_LO=p.T_LO0,
-    )
 
 
 def step_population(L: float, p: ModelParams) -> float:
@@ -397,38 +375,22 @@ def _genome(policy: PolicyMatrix, p: ModelParams) -> np.ndarray:
 
 
 def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
-    """Run the closed-loop dynamics over the horizon.
+    """Run the closed-loop dynamics over the horizon and keep its columns.
 
-    Returns H+1 states and H derived records. Pure: repeated calls with the
-    same inputs give bit-identical trajectories. A domain error or a float
-    overflow in step i raises ``ModelDomainError`` naming step i.
+    Pure: repeated calls with the same inputs give bit-identical
+    trajectories. A domain error or a float overflow in step i raises
+    ``ModelDomainError`` naming step i.
     """
     run = _recursion(_genome(policy, p), p)
     ex = _exogenous(p)
-    K, M_AT, M_UP, M_LO, T_AT, T_LO = np.array(run.states).T.tolist()
-    Y, Omega, Q, I, C, E, F = np.reshape(run.flows, (-1, 7)).T.tolist()
-    return Trajectory(
-        states=tuple(map(SimState, ex.L, ex.A, K, ex.sigma, ex.E_Land,
-                         M_AT, M_UP, M_LO, T_AT, T_LO)),
-        derived=tuple(map(StepDerived, Y, Omega, run.Lambda.tolist(), Q, I, C, E, F,
-                          ex.theta1, run.U.tolist())),
-        params=p,
-    )
-
-
-def welfare(traj: Trajectory, p: ModelParams | None = None) -> float:
-    """Discounted utility sum over steps 0..H-1 (horizon-truncated)."""
-    if p is None:
-        p = traj.params
-    total = 0.0
-    for i, d in enumerate(traj.derived):
-        total += d.U / discount_factor(i, p)
-    return total
-
-
-def t_at_max(traj: Trajectory) -> float:
-    """Peak atmospheric temperature deviation over states 0..H."""
-    return max(st.T_AT for st in traj.states)
+    states = dict(zip(("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO"), np.array(run.states).T))
+    states.update(L=np.array(ex.L), A=np.array(ex.A), sigma=np.array(ex.sigma),
+                  E_Land=np.array(ex.E_Land))
+    derived = dict(zip(("Y", "Omega", "Q", "I", "C", "E", "F"),
+                       np.reshape(run.flows, (-1, 7)).T))
+    derived.update(Lambda=run.Lambda, theta1=np.array(ex.theta1), U=run.U)
+    return Trajectory(W=float(run.W), T_max=float(run.T_max), states=states,
+                      derived=derived, policy=policy, params=p)
 
 
 def evaluate_policy(policy: PolicyMatrix, p: ModelParams) -> ObjectivePair:

@@ -36,7 +36,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConfigError, EngineError
-from .model import ObjectivePair
 from .params import _checked_fields
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -73,6 +72,8 @@ class EngineConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if not self.mutation_step > 0:
             raise ConfigError(f"mutation_step must be positive, got {self.mutation_step}")
+        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
+            raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EngineConfig":
@@ -97,16 +98,6 @@ class FrontArchive:
 
     def __len__(self) -> int:
         return len(self.objectives)
-
-
-def dominates(a: ObjectivePair, b: ObjectivePair) -> bool:
-    """True iff a is at least as good as b in both objectives and better in one.
-
-    Orientation: W is maximized, T_max is minimized.
-    """
-    if not (a.W >= b.W and a.T_max <= b.T_max):
-        return False
-    return a.W > b.W or a.T_max < b.T_max
 
 
 def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""An independent high-precision re-derivation of the DICE-2016R recursion.
+"""Independent references for the tests: a high-precision re-derivation of
+the DICE-2016R recursion, and Pareto dominance of two objective pairs.
 
 Every constant is restated literally, independent of the params module, and
 the full state recursion advances with mpmath at 40 digits, sharing no code
@@ -8,6 +9,17 @@ with the implementation under test.
 from __future__ import annotations
 
 from mpmath import mp, mpf
+
+def dominates(a, b) -> bool:
+    """True iff objective pair a (``.W``, ``.T_max``) is at least as good as b
+    in both objectives and better in one.
+
+    Orientation: W is maximized, T_max is minimized.
+    """
+    if not (a.W >= b.W and a.T_max <= b.T_max):
+        return False
+    return a.W > b.W or a.T_max < b.T_max
+
 
 STATE_NAMES = ("L", "A", "K", "sigma", "E_Land", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO")
 

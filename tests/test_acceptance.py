@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracle import dominates
 
 from dice_pareto import (
     EngineConfig,
@@ -20,13 +21,11 @@ from dice_pareto import (
     ObjectivePair,
     PolicyMatrix,
     crowding_distance,
-    dominates,
     evaluate_batch,
     evaluate_policy,
     evolve,
     non_dominated_sort,
     simulate,
-    t_at_max,
 )
 from dice_pareto.cli import main
 from dice_pareto.model import exogenous_forcing, damage_factor, step_population
@@ -50,7 +49,7 @@ def ci_front() -> FrontArchive:
 def test_criterion_1_full_mitigation_temperature_floor():
     started = time.perf_counter()
     traj = simulate(PolicyMatrix.constant(1.0, 0.25, P.H), P)
-    peak = t_at_max(traj)
+    peak = traj.T_max
     elapsed = time.perf_counter() - started
     assert 2.1 <= peak <= 2.7
     assert elapsed < 1.0
@@ -95,11 +94,10 @@ def test_criterion_3_welfare_axis_is_ordinal(ci_front):
 ])
 def test_criterion_4_carbon_mass_conservation(policy):
     traj = simulate(policy, P)
-    for i, d in enumerate(traj.derived):
-        before, after = traj.states[i], traj.states[i + 1]
-        total_change = (after.M_AT + after.M_UP + after.M_LO) - (
-            before.M_AT + before.M_UP + before.M_LO)
-        assert abs(total_change - P.xi2 * d.E * P.dt) <= 1.5e-7 * before.M_LO
+    st = traj.states
+    total_change = np.diff(st["M_AT"] + st["M_UP"] + st["M_LO"])  # step i to i + 1
+    assert np.all(np.abs(total_change - P.xi2 * traj.derived["E"] * P.dt)
+                  <= 1.5e-7 * st["M_LO"][:-1])
 
 
 def test_criterion_5_analytic_fixed_points_and_saturations():
@@ -107,7 +105,7 @@ def test_criterion_5_analytic_fixed_points_and_saturations():
     for i in range(17, 200):
         assert exogenous_forcing(i, P) == 1.0
     traj = simulate(PolicyMatrix.constant(0.5, 0.25, P.H), P)
-    sigmas = [st.sigma for st in traj.states]
+    sigmas = traj.states["sigma"].tolist()
     assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
     assert 1.0 - damage_factor(3.0, P) == pytest.approx(0.0208, abs=1e-4)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dice_pareto.cli import main
+from dice_pareto.cli import _build_parser, main
 
 TINY = {
     "model": {"H": 5},
@@ -189,6 +189,25 @@ class TestOptimize:
                        "--out", str(tmp_path / "x")) == 1
         assert "DICE_PARETO_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_is_one_line_config_error(self, tmp_path, tiny_cfg, monkeypatch,
+                                                    capsys, source):
+        out = tmp_path / "x"
+        argv = ["optimize", "--config", tiny_cfg, "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("DICE_PARETO_SEED", "-5")
+        else:
+            cfg = tmp_path / "negative.json"
+            cfg.write_text(json.dumps({**TINY, "engine": {**TINY["engine"], "rng_seed": -1}}))
+            argv[2] = str(cfg)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rng_seed must be a non-negative integer, got -")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_population_override_is_validated_before_any_output(self, tmp_path,
                                                                 tiny_cfg, capsys):
         out = tmp_path / "bad"
@@ -286,3 +305,18 @@ class TestDispatch:
         args = ("simulate", "--config", tiny_cfg, "--mu", "0.5", "--s", "0.3",
                 "--out", str(out))
         assert run_cli(*args) == run_cli(*args) == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, tiny_cfg):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"mu": [1.0] * 5, "s": [0.25] * 5}))
+        assert run_cli("simulate", "--config", tiny_cfg, "--mu", "0.5", "--s", "0.25",
+                       "--out", str(tmp_path / "constant")) == 0
+        # the first call's --mu, if kept, would clash with --policy
+        assert run_cli("simulate", "--config", tiny_cfg, "--policy", str(policy),
+                       "--out", str(tmp_path / "file")) == 0
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        assert run_cli("simulate", "--mu", "abc") == 1
+        assert run_cli("simulate", "--mu", "0.5", "--s", "0.25",
+                       "--out", str(tmp_path / "sim")) == 0

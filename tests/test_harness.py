@@ -278,24 +278,29 @@ class TestPersistence:
         assert text_a == text_b
 
     def test_trajectory_file_layout(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        report = run_experiment(cfg)
-        out = tmp_path / "run"
-        persist_report(report, out)
-        label = report.representatives[0][0]
-        lines = (out / f"trajectory_{label}.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        assert header == ["year", "T_AT", "T_LO", "E", "M_AT", "M_UP", "M_LO",
-                          "Y", "Q", "C", "I", "mu", "s"]
-        assert len(lines) == 1 + cfg.model.H + 1
-        years = [float(ln.split(",")[0]) for ln in lines[1:]]
-        assert years == [2015.0 + 5.0 * i for i in range(cfg.model.H + 1)]
-        final = lines[-1].split(",")
-        assert final[header.index("E")] == ""
-        assert final[header.index("mu")] == ""
-        assert final[header.index("s")] == ""
-        assert final[header.index("Y")] == ""
-        assert final[header.index("M_AT")] != ""
+        per_step = {"E", "Y", "Q", "C", "I", "mu", "s"}  # blank on the final row
+        for H in (0, 1, 37):  # H = 0: the initial state is the only row
+            cfg = tiny_config(tmp_path, model={"H": H})
+            report = run_experiment(cfg)
+            out = tmp_path / f"run_{H}"
+            persist_report(report, out)
+            label, _, traj = report.representatives[0]
+            lines = (out / f"trajectory_{label}.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            assert header == ["year", "T_AT", "T_LO", "E", "M_AT", "M_UP", "M_LO",
+                              "Y", "Q", "C", "I", "mu", "s"]
+            assert len(lines) == 1 + H + 1
+            years = [float(ln.split(",")[0]) for ln in lines[1:]]
+            assert years == [2015.0 + 5.0 * i for i in range(H + 1)]
+            columns = {**traj.states, **traj.derived,
+                       "mu": traj.policy.mu, "s": traj.policy.s}
+            for i, line in enumerate(lines[1:]):
+                cells = dict(zip(header[1:], line.split(",")[1:], strict=True))
+                blank = {name for name, cell in cells.items() if cell == ""}
+                assert blank == (per_step if i == H else set()), (H, i)
+                for name, cell in cells.items():
+                    if cell:
+                        assert float(cell) == columns[name][i], (H, i, name)
 
     def test_loaded_front_rows_are_mutually_nondominated(self, tmp_path):
         cfg = tiny_config(tmp_path)

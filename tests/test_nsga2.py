@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from oracle import dominates
 
 from dice_pareto import (
     ConfigError,
@@ -17,7 +18,6 @@ from dice_pareto import (
     PolicyMatrix,
     crossover,
     crowding_distance,
-    dominates,
     evaluate_batch,
     evaluate_policy,
     evolve,

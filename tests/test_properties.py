@@ -54,7 +54,7 @@ def assert_objectives_close(got, want, genome, p, rtol):
     add up to it (that sum is |W| unless the terms cancel, and it sets the
     scale of W's rounding error either way); T_max within rtol of itself."""
     traj = simulate(PolicyMatrix.from_genome(genome), p)
-    scale = sum(abs(d.U) / discount_factor(i, p) for i, d in enumerate(traj.derived))
+    scale = sum(abs(U) / discount_factor(i, p) for i, U in enumerate(traj.derived["U"].tolist()))
     assert abs(got[0] - want[0]) <= rtol * scale, (got[0], want[0], scale)
     assert abs(got[1] - want[1]) <= rtol * abs(want[1]), (got[1], want[1])
 

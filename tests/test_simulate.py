@@ -20,14 +20,9 @@ from dice_pareto import (
     ModelParams,
     ObjectivePair,
     PolicyMatrix,
-    StepDerived,
-    Trajectory,
     evaluate_batch,
     evaluate_policy,
-    initial_state,
     simulate,
-    t_at_max,
-    welfare,
 )
 
 mp.dps = 40
@@ -69,17 +64,22 @@ class TestPolicyMatrix:
 class TestTrajectoryShape:
     def test_lengths_and_initial_state(self):
         traj = simulate(constant_policy(0.3, 0.25), P)
-        assert len(traj.states) == P.H + 1
-        assert len(traj.derived) == P.H
-        assert traj.states[0] == initial_state(P)
+        assert {len(column) for column in traj.states.values()} == {P.H + 1}
+        assert {len(column) for column in traj.derived.values()} == {P.H}
+        assert set(traj.derived) == {"Y", "Omega", "Lambda", "Q", "I", "C", "E", "F",
+                                     "theta1", "U"}
+        assert {name: column[0] for name, column in traj.states.items()} == {
+            "L": P.L0, "A": P.A0, "K": P.K0, "sigma": P.sigma0, "E_Land": P.E_L0,
+            "M_AT": P.M_AT0, "M_UP": P.M_UP0, "M_LO": P.M_LO0, "T_AT": P.T_AT0,
+            "T_LO": P.T_LO0}
 
     def test_zero_horizon_edge(self):
         p0 = ModelParams(H=0)
         traj = simulate(PolicyMatrix(np.zeros(0), np.zeros(0)), p0)
-        assert len(traj.states) == 1
-        assert len(traj.derived) == 0
-        assert welfare(traj) == 0.0
-        assert t_at_max(traj) == p0.T_AT0
+        assert {len(column) for column in traj.states.values()} == {1}
+        assert {len(column) for column in traj.derived.values()} == {0}
+        assert traj.W == 0.0
+        assert traj.T_max == p0.T_AT0
 
     def test_horizon_mismatch_is_rejected(self):
         with pytest.raises(ModelDomainError):
@@ -167,8 +167,10 @@ class TestPurity:
         pol = constant_policy(0.42, 0.27)
         a = simulate(pol, P)
         b = simulate(pol, P)
-        assert a.states == b.states
-        assert a.derived == b.derived
+        assert (a.W, a.T_max) == (b.W, b.T_max)
+        for columns_a, columns_b in ((a.states, b.states), (a.derived, b.derived)):
+            assert columns_a.keys() == columns_b.keys()
+            assert all(np.array_equal(columns_a[name], columns_b[name]) for name in columns_a)
 
     def test_evaluate_policy_is_deterministic(self):
         pol = constant_policy(0.9, 0.31)
@@ -178,18 +180,17 @@ class TestPurity:
 class TestAccountingIdentities:
     @pytest.mark.parametrize("mu,s", [(0.0, 0.25), (0.5, 0.1), (1.0, 0.9), (0.8, 0.0)])
     def test_net_output_split_and_reduction_factors(self, mu, s):
-        traj = simulate(constant_policy(mu, s), P)
-        for d in traj.derived:
-            assert d.Q == (1.0 - d.Lambda) * d.Omega * d.Y
-            assert abs((d.C + d.I) - d.Q) <= 5e-16 * abs(d.Q)
-            assert 0.0 < d.Omega <= 1.0
-            assert d.Lambda >= 0.0
+        d = simulate(constant_policy(mu, s), P).derived
+        assert np.array_equal(d["Q"], (1.0 - d["Lambda"]) * d["Omega"] * d["Y"])
+        assert np.all(np.abs((d["C"] + d["I"]) - d["Q"]) <= 5e-16 * np.abs(d["Q"]))
+        assert np.all((0.0 < d["Omega"]) & (d["Omega"] <= 1.0))
+        assert np.all(d["Lambda"] >= 0.0)
 
     def test_extreme_saving_rates(self):
-        all_invest = simulate(constant_policy(0.5, 1.0), P)
-        assert all(d.C == 0.0 and d.I == d.Q for d in all_invest.derived)
-        all_consume = simulate(constant_policy(0.5, 0.0), P)
-        assert all(d.I == 0.0 and d.C == d.Q for d in all_consume.derived)
+        invest = simulate(constant_policy(0.5, 1.0), P).derived
+        assert np.all(invest["C"] == 0.0) and np.array_equal(invest["I"], invest["Q"])
+        consume = simulate(constant_policy(0.5, 0.0), P).derived
+        assert np.all(consume["I"] == 0.0) and np.array_equal(consume["C"], consume["Q"])
 
     def test_saving_everything_scores_terribly_but_runs(self):
         starved = evaluate_policy(constant_policy(0.5, 1.0), P)
@@ -207,40 +208,35 @@ class TestCarbonConservation:
             rng = np.random.default_rng(seed)
             pol = PolicyMatrix(rng.random(P.H), rng.random(P.H))
         traj = simulate(pol, P)
-        for i, d in enumerate(traj.derived):
-            before = traj.states[i]
-            after = traj.states[i + 1]
-            change = (after.M_AT + after.M_UP + after.M_LO) - (
-                before.M_AT + before.M_UP + before.M_LO)
-            assert abs(change - P.xi2 * d.E * P.dt) <= 1.5e-7 * before.M_LO
+        st = traj.states
+        change = np.diff(st["M_AT"] + st["M_UP"] + st["M_LO"])  # step i to i + 1
+        assert np.all(np.abs(change - P.xi2 * traj.derived["E"] * P.dt)
+                      <= 1.5e-7 * st["M_LO"][:-1])
 
 
 class TestStateSequences:
     def test_exogenous_sequences_are_policy_independent(self):
         a = simulate(constant_policy(0.0, 0.1), P)
         b = simulate(constant_policy(1.0, 0.9), P)
-        for st_a, st_b in zip(a.states, b.states):
-            assert st_a.L == st_b.L
-            assert st_a.A == st_b.A
-            assert st_a.sigma == st_b.sigma
-            assert st_a.E_Land == st_b.E_Land
+        for name in ("L", "A", "sigma", "E_Land"):
+            assert np.array_equal(a.states[name], b.states[name])
 
     def test_intensity_and_land_emissions_decline(self):
         traj = simulate(constant_policy(0.5, 0.25), P)
-        sigmas = [st.sigma for st in traj.states]
-        lands = [st.E_Land for st in traj.states]
+        sigmas = traj.states["sigma"].tolist()
+        lands = traj.states["E_Land"].tolist()
         assert all(a > b > 0 for a, b in zip(sigmas, sigmas[1:]))
         assert all(a > b > 0 for a, b in zip(lands, lands[1:]))
-        for i, st in enumerate(traj.states):
-            assert st.E_Land == pytest.approx(P.E_L0 * (1 - P.delta_EL) ** i, rel=1e-12)
+        for i, land in enumerate(lands):
+            assert land == pytest.approx(P.E_L0 * (1 - P.delta_EL) ** i, rel=1e-12)
 
 
 class TestTemperatureBehavior:
     def test_full_mitigation_peak_band(self):
-        assert 2.1 <= t_at_max(simulate(constant_policy(1.0, 0.25), P)) <= 2.7
+        assert 2.1 <= simulate(constant_policy(1.0, 0.25), P).T_max <= 2.7
 
     def test_no_mitigation_exceeds_four_degrees(self):
-        assert t_at_max(simulate(constant_policy(0.0, 0.25), P)) > 4.0
+        assert simulate(constant_policy(0.0, 0.25), P).T_max > 4.0
 
     def test_more_mitigation_never_heats(self):
         rng = np.random.default_rng(123)
@@ -259,39 +255,46 @@ class TestTemperatureBehavior:
         assert cool.W < hot.W  # mitigation costs welfare in this model
 
 
-def _fake_trajectory(temps, utilities):
-    base = initial_state(P)
-    states = tuple(base._replace(T_AT=t) for t in temps)
-    derived = tuple(
-        StepDerived(Y=1, Omega=1, Lambda=0, Q=1, I=0, C=1, E=0, F=0, theta1=0, U=u)
-        for u in utilities)
-    return Trajectory(states=states, derived=derived, params=P)
-
-
 class TestObjectiveFunctionals:
+    """The recursion's W and T_max against the columns of the same run."""
+
     def test_peak_of_monotone_sequence_is_final(self):
-        traj = _fake_trajectory([0.1, 0.5, 0.9, 1.4], [0.0] * 3)
-        assert t_at_max(traj) == 1.4
+        traj = simulate(constant_policy(0.0, 0.25), P)
+        T_AT = traj.states["T_AT"]
+        assert np.all(np.diff(T_AT) > 0)
+        assert traj.T_max == T_AT[-1] == T_AT.max()
 
     def test_peak_of_humped_sequence(self):
-        traj = _fake_trajectory([0.85, 1.5, 3.2, 2.9], [0.0] * 3)
-        assert t_at_max(traj) == 3.2
+        # full mitigation over 300 years: warming peaks mid-horizon, then recedes
+        p = ModelParams(H=60)
+        traj = simulate(constant_policy(1.0, 0.25, H=p.H), p)
+        T_AT = traj.states["T_AT"]
+        assert 0 < T_AT.argmax() < p.H
+        assert traj.T_max == T_AT.max() > T_AT[-1]
 
     def test_first_term_is_undiscounted(self):
-        traj = _fake_trajectory([0.0, 0.0], [7.5])
-        assert welfare(traj) == 7.5
+        p = ModelParams(H=1)
+        traj = simulate(constant_policy(0.4, 0.3, H=1), p)
+        assert traj.W == traj.derived["U"][0]
 
     def test_one_step_discount_factor(self):
         oracle = 1 / mpf("1.015") ** 5
         assert float(oracle) == pytest.approx(0.9282603254056394, rel=1e-12)
-        traj = _fake_trajectory([0.0] * 3, [0.0, 1.0])
-        assert welfare(traj) == pytest.approx(float(oracle), rel=1e-15)
+        p = ModelParams(H=2)
+        traj = simulate(constant_policy(0.4, 0.3, H=2), p)
+        U = traj.derived["U"]
+        assert traj.W == pytest.approx(float(U[0] + U[1] * oracle), rel=1e-15)
 
     def test_welfare_is_linear_in_utilities(self):
-        utilities = [3.0, -1.0, 2.5, 0.25]
-        base = welfare(_fake_trajectory([0.0] * 5, utilities))
-        scaled = welfare(_fake_trajectory([0.0] * 5, [4.0 * u for u in utilities]))
-        assert scaled == pytest.approx(4.0 * base, rel=1e-14)
+        """W weighs every policy's utilities by the same discount factors."""
+        rng = np.random.default_rng(4)
+        policies = [constant_policy(0.4, 0.3)]
+        policies += [PolicyMatrix(rng.random(P.H), rng.uniform(0.1, 0.4, P.H)) for _ in range(3)]
+        for pol in policies:
+            traj = simulate(pol, P)
+            terms = [mpf(float(u)) / (mpf("1.015") ** 5) ** i
+                     for i, u in enumerate(traj.derived["U"])]
+            assert abs(traj.W - float(sum(terms))) <= 1e-14 * float(sum(map(abs, terms)))
 
 
 class TestAgainstIndependentResimulation:
@@ -304,9 +307,8 @@ class TestAgainstIndependentResimulation:
         traj = simulate(constant_policy(mu_val, s_val, H=H), p)
         states, _, _ = resimulate([mu_val] * H, [s_val] * H)
         for i, expected in enumerate(states):
-            got = traj.states[i]
             for name, want in expected.items():
-                have = getattr(got, name)
+                have = traj.states[name][i]
                 assert have == pytest.approx(want, rel=1e-10), (i, name)
 
     def test_objectives_match_oracle(self):
@@ -317,13 +319,13 @@ class TestAgainstIndependentResimulation:
 
         alpha, rho, dt = mpf("1.45"), mpf("0.015"), mpf(5)
         traj = simulate(pol, p)
+        assert (traj.W, traj.T_max) == got
         W = mpf(0)
-        for i, d in enumerate(traj.derived):
-            st = traj.states[i]
-            cpc = 1000 * mpf(float(d.C)) / mpf(float(st.L))
-            U = mpf(float(st.L)) * (cpc ** (1 - alpha) - 1) / (1 - alpha)
+        for i, (C, L) in enumerate(zip(traj.derived["C"], traj.states["L"])):
+            cpc = 1000 * mpf(float(C)) / mpf(float(L))
+            U = mpf(float(L)) * (cpc ** (1 - alpha) - 1) / (1 - alpha)
             W += U / (1 + rho) ** (i * dt)
-        T = max(mpf(float(st.T_AT)) for st in traj.states)
+        T = max(mpf(float(t)) for t in traj.states["T_AT"])
         assert got.W == pytest.approx(float(W), rel=1e-12)
         assert got.T_max == pytest.approx(float(T), rel=1e-15)
 
