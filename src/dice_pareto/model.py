@@ -295,7 +295,8 @@ def _fail(step: int, row: int | None, message: str) -> NoReturn:
 
 
 class _Run(NamedTuple):
-    """One pass of the recursion: the objectives and each step's values."""
+    """One pass of the recursion: the objectives and, for one genome, each
+    step's values (a table keeps state 0 and no flows)."""
 
     W: np.ndarray
     T_max: np.ndarray
@@ -330,8 +331,9 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
 
     K, M_AT, M_UP, M_LO, T_AT, T_LO = (
         zero + v for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
+    record = zero.ndim == 0  # only ``simulate``'s single genome reads every step
     states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
-    flows, checked = [], []
+    flows, checked, peaks = [], [], [T_AT]
     for i in range(steps):
         Y = gross_output(ex.A[i], K, ex.labour[i], p)
         Omega = damage_factor(T_AT, p)
@@ -340,12 +342,14 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
         E = total_emissions(ex.sigma[i], mu[i], Y, ex.E_Land[i])
         F = radiative_forcing(M_AT, ex.forcing[i], p)
         C = Q - I
-        flows.append((Y, Omega, Q, I, C, E, F))
         checked.append((K, M_AT, C))
         M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
         T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
         K = step_capital(K, I, p)
-        states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
+        peaks.append(T_AT)
+        if record:
+            flows.append((Y, Omega, Q, I, C, E, F))
+            states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
 
     checked = np.reshape(checked, (steps, 3) + zero.shape)  # K, M_AT, C of each step
     floored = np.maximum(checked[:, 2], CONSUMPTION_FLOOR, out=checked[:, 2])
@@ -361,7 +365,7 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if zero.ndim else None, ex.failure)
     W = sum(U / np.reshape(ex.discount, column), zero)  # step by step, in order
-    T_max = np.max([state[4] for state in states], axis=0)
+    T_max = np.max(peaks, axis=0)  # one reduction: a per-step np.maximum costs more
     return _Run(W=W, T_max=T_max, states=states, flows=flows, Lambda=Lambda, U=U)
 
 

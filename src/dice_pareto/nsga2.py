@@ -28,6 +28,7 @@ An exception that carries a ``row`` attribute (``ModelDomainError`` from
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -100,51 +101,83 @@ class FrontArchive:
         return len(self.objectives)
 
 
+def _require_finite(objectives: np.ndarray) -> None:
+    """Reject a table with a non-finite objective, naming its first such row:
+    neither the sweep nor the stable sorts order NaN or an infinity soundly."""
+    finite = np.isfinite(objectives).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise EngineError(f"row {row}: objectives must be finite, "
+                          f"got {objectives[row].tolist()}")
+
+
 def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
     """1-based front rank of each row of an (n, 2) table of (W, T_max).
 
     Front k is non-dominated within the union of fronts k..end; rank 1 is
-    globally non-dominated.
+    globally non-dominated. Two-objective sweep in O(n log n) (the 2-D case
+    of Jensen 2003): rows are visited by W descending, then T_max ascending,
+    so a row can only be dominated by rows visited before it. ``lows`` holds
+    the least T_max of each front so far, in ascending order, and a row joins
+    the first front whose least T_max exceeds its own. Equal rows never
+    dominate each other, so a row equal in both objectives to the row visited
+    just before it takes that row's rank. A non-finite objective raises
+    ``EngineError`` naming its row.
     """
-    w = objectives[:, 0]
-    t = objectives[:, 1]
-    weakly = (w[:, None] >= w[None, :]) & (t[:, None] <= t[None, :])
-    strictly = (w[:, None] > w[None, :]) | (t[:, None] < t[None, :])
-    dom = weakly & strictly  # dom[p, q]: p dominates q
-    dominator_count = dom.sum(axis=0)
-    rank = np.zeros(len(objectives), dtype=int)
-    front = 0
-    while not rank.all():
-        front += 1
-        current = (rank == 0) & (dominator_count == 0)
-        rank[current] = front
-        dominator_count = dominator_count - dom[current].sum(axis=0)
+    _require_finite(objectives)
+    order = np.lexsort((objectives[:, 1], -objectives[:, 0]))
+    lows: list[float] = []
+    ranks = []
+    front, previous = 0, None
+    for pair in objectives[order].tolist():
+        if pair != previous:
+            t = pair[1]
+            front = bisect.bisect_right(lows, t)
+            if front == len(lows):
+                lows.append(t)
+            else:
+                lows[front] = t
+            previous = pair
+        ranks.append(front + 1)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = ranks
     return rank
 
 
-def crowding_distance(objectives: np.ndarray) -> np.ndarray:
-    """Per-objective normalized neighbor gaps of one front, summed over both objectives.
+def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
+    """Per-objective normalized neighbor gaps within each front, summed over both objectives.
 
-    Boundary rows of each objective get +inf; an objective with zero range
-    contributes nothing to interior rows.
+    ``rank`` gives each row's front (as from ``non_dominated_sort``); without
+    it the whole table is one front. Each objective, in minimization form
+    (-W, then T_max), is sorted once by (front, value) with a stable sort, so
+    rows tied in value keep ascending row order: of the rows tied at a
+    front's least value the first is its boundary, and of those tied at its
+    greatest value the last. Boundary rows get +inf, and so does every row of
+    a front of one or two; an objective with zero range in a front adds
+    nothing to its interior rows. A non-finite objective raises
+    ``EngineError`` naming its row.
     """
-    m = len(objectives)
-    if m == 0:
-        return np.zeros(0)
-    if m <= 2:
-        return np.full(m, np.inf)
-    # Minimization form (-W, T_max): the stable sort's tie order, and so which
-    # of several tied rows becomes a boundary, follows from it.
-    f = np.column_stack((-objectives[:, 0], objectives[:, 1]))
-    d = np.zeros(m)
-    for obj in range(f.shape[1]):
-        order = np.argsort(f[:, obj], kind="stable")
-        vals = f[order, obj]
-        d[order[0]] = np.inf
-        d[order[-1]] = np.inf
-        span = vals[-1] - vals[0]
-        if span > 0:
-            d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    _require_finite(objectives)
+    n = len(objectives)
+    if rank is None:
+        rank = np.zeros(n, dtype=int)
+    d = np.zeros(n)
+    if n == 0:
+        return d
+    fronts = np.sort(rank)
+    edge = np.ones(n + 1, dtype=bool)  # edge[k]: a front starts at sorted position k
+    edge[1:n] = fronts[1:] != fronts[:-1]
+    starts = np.flatnonzero(edge)
+    first, last = starts[:-1], starts[1:] - 1
+    interior = ~(edge[1:n - 1] | edge[2:n])  # sorted positions 1..n-2 inside their front
+    for column in (-objectives[:, 0], objectives[:, 1]):
+        order = np.lexsort((column, rank))
+        vals = column[order]
+        d[order[first]] = np.inf
+        d[order[last]] = np.inf
+        span = np.repeat(vals[last] - vals[first], np.diff(starts))[1:-1]
+        gaps = interior & (span > 0)
+        d[order[1:-1][gaps]] += (vals[2:] - vals[:-2])[gaps] / span[gaps]
     return d
 
 
@@ -226,11 +259,7 @@ def _evaluation_error(genome: np.ndarray, reason: object) -> EngineError:
 
 def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = non_dominated_sort(objectives)
-    crowding = np.empty(len(rank))
-    for front in range(1, rank.max() + 1):
-        members = np.flatnonzero(rank == front)
-        crowding[members] = crowding_distance(objectives[members])
-    return rank, crowding
+    return rank, crowding_distance(objectives, rank)
 
 
 def _survivors(rank: np.ndarray, crowding: np.ndarray, target: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Independent references for the tests: a high-precision re-derivation of
-the DICE-2016R recursion, and Pareto dominance of two objective pairs.
+the DICE-2016R recursion, Pareto dominance of two objective pairs, and
+brute-force front ranks with front-by-front crowding distance.
 
 Every constant is restated literally, independent of the params module, and
 the full state recursion advances with mpmath at 40 digits, sharing no code
@@ -8,7 +9,9 @@ with the implementation under test.
 
 from __future__ import annotations
 
+import numpy as np
 from mpmath import mp, mpf
+
 
 def dominates(a, b) -> bool:
     """True iff objective pair a (``.W``, ``.T_max``) is at least as good as b
@@ -82,3 +85,59 @@ def resimulate(mu, s):
         T_max = max(state[8] for state in states)
         return ([dict(zip(STATE_NAMES, map(float, state))) for state in states],
                 float(W), float(T_max))
+
+
+def brute_force_rank(objectives):
+    """Peel fronts by scanning every pair for domination (W up, T_max down)."""
+    rank = np.zeros(len(objectives), dtype=int)
+    front = 0
+    while not rank.all():
+        front += 1
+        left = np.flatnonzero(rank == 0)
+        for q in left:
+            w_q, t_q = objectives[q]
+            if not any(objectives[k][0] >= w_q and objectives[k][1] <= t_q
+                       and (objectives[k][0] > w_q or objectives[k][1] < t_q)
+                       for k in left):
+                rank[q] = front
+    return rank
+
+
+def rank_and_crowd(objectives):
+    """Brute-force ranks and front-by-front crowding of an (n, 2) table."""
+    rank = brute_force_rank(objectives)
+    return rank, crowding_by_front(objectives, rank)
+
+
+def crowding_by_front(objectives, rank):
+    """Crowding distance computed front by front, the reference for the
+    engine's one-pass crowding: each front's rows, in ascending row order,
+    are crowded on their own.
+
+    Within a front, each objective in minimization form (-W, T_max) is sorted
+    stably; the first and last sorted rows get +inf, and interior rows add
+    their neighbors' gap over the front's span when that span is positive.
+    Fronts of one or two rows are all +inf.
+    """
+    crowding = np.empty(len(rank))
+    for front in range(1, rank.max(initial=0) + 1):
+        members = np.flatnonzero(rank == front)
+        crowding[members] = _front_crowding(objectives[members])
+    return crowding
+
+
+def _front_crowding(objectives):
+    m = len(objectives)
+    if m <= 2:
+        return np.full(m, np.inf)
+    f = np.column_stack((-objectives[:, 0], objectives[:, 1]))
+    d = np.zeros(m)
+    for obj in range(f.shape[1]):
+        order = np.argsort(f[:, obj], kind="stable")
+        vals = f[order, obj]
+        d[order[0]] = np.inf
+        d[order[-1]] = np.inf
+        span = vals[-1] - vals[0]
+        if span > 0:
+            d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    return d

@@ -6,8 +6,9 @@ import json
 
 import numpy as np
 import pytest
-from oracle import dominates
+from oracle import dominates, rank_and_crowd
 
+import dice_pareto
 from dice_pareto import (
     ConfigError,
     EngineConfig,
@@ -115,6 +116,24 @@ class TestCrowding:
         d = crowding_distance(min_rows((0.0, 5.0), (0.5, 5.0), (1.0, 5.0)))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert np.isfinite(d[1])
+
+    def test_fronts_are_crowded_separately(self):
+        # front 1 is rows 0, 2 and 4; front 2 is rows 1 and 3
+        objectives = min_rows((0.0, 2.0), (1.0, 3.0), (1.0, 1.0), (3.0, 1.0), (2.0, 0.0))
+        d = crowding_distance(objectives, non_dominated_sort(objectives))
+        assert np.isinf(d[[0, 1, 3, 4]]).all()
+        assert d[2] == 2.0
+
+
+@pytest.mark.parametrize("function", [non_dominated_sort, crowding_distance])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_objective_names_its_row(function, column, value):
+    objectives = min_rows((0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (3.0, 0.0))
+    objectives[2, column] = value
+    objectives[3, column] = value
+    with pytest.raises(EngineError, match="row 2: objectives must be finite"):
+        function(objectives)
 
 
 class TestTournament:
@@ -339,14 +358,33 @@ class TestEvolve:
         import dice_pareto.nsga2 as engine
 
         calls = []
-        for name in ("tournament_select", "crossover", "mutate"):
+        ranking = ["non_dominated_sort", "crowding_distance"]
+        variation = ["tournament_select", "crossover", "mutate"]
+        for name in ranking + variation:
             def counted(*args, _name=name, _op=getattr(engine, name)):
                 calls.append(_name)
                 return _op(*args)
             monkeypatch.setattr(engine, name, counted)
-        evolve(_small_cfg(max_iterations=5), _small_evaluator, SMALL_MODEL.H,
+        evolve(_small_cfg(max_iterations=3), _small_evaluator, SMALL_MODEL.H,
                np.random.default_rng(3))
-        assert calls == ["tournament_select", "crossover", "mutate"] * 5
+        # the initial ranking, then one of each per generation
+        assert calls == ranking + (variation + ranking) * 3
+
+    def test_phase_functions_stay_public(self):
+        # the benchmark's tracer times the engine's phases by these names
+        assert {"non_dominated_sort", "crowding_distance", "tournament_select", "crossover",
+                "mutate", "persist_report", "load_front"} <= set(dice_pareto.__all__)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_archive_matches_front_by_front_reference(self, seed, monkeypatch):
+        import dice_pareto.nsga2 as engine
+
+        cfg = _small_cfg(max_iterations=20, rng_seed=seed)
+        swept = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
+        monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
+        reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
+        assert np.array_equal(swept.genomes, reference.genomes)
+        assert np.array_equal(swept.objectives, reference.objectives)
 
     def test_children_follow_the_documented_draw_order(self):
         # replay one generation from the module docstring's contract and

@@ -3,7 +3,8 @@ front files.
 
 Each ``evaluate_batch`` row is checked against the single-policy
 ``evaluate_policy``, and both against the 40-digit ``oracle.resimulate``; a
-brute-force dominance scan is the reference for ``non_dominated_sort``.
+brute-force dominance scan is the reference for ``non_dominated_sort``, and
+crowding each front on its own is the reference for the one-pass crowding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import resimulate
+from oracle import brute_force_rank, crowding_by_front, resimulate
 
 from dice_pareto import (
     FrontArchive,
@@ -30,6 +31,7 @@ from dice_pareto import (
 )
 from dice_pareto.harness import format_front_csv
 from dice_pareto.model import discount_factor
+from dice_pareto.nsga2 import _rank_and_crowd
 
 # numpy's vectorised pow/log2 may differ from its scalar ones in the last
 # bit, so a batch row and the single-policy path agree to a few ulps, not
@@ -99,20 +101,13 @@ def test_empty_batch_gives_empty_table():
     assert evaluate_batch(np.empty((0, 6)), p).shape == (0, 2)
 
 
-def _brute_force_rank(objectives):
-    """Peel fronts by scanning every pair for domination (W up, T_max down)."""
-    rank = np.zeros(len(objectives), dtype=int)
-    front = 0
-    while not rank.all():
-        front += 1
-        left = np.flatnonzero(rank == 0)
-        for q in left:
-            w_q, t_q = objectives[q]
-            if not any(objectives[k][0] >= w_q and objectives[k][1] <= t_q
-                       and (objectives[k][0] > w_q or objectives[k][1] < t_q)
-                       for k in left):
-                rank[q] = front
-    return rank
+def test_batch_row_does_not_depend_on_its_batch():
+    # what a row scores must not depend on the rows scored with it
+    p = ModelParams()
+    genomes = np.random.default_rng(11).random((50, 2 * p.H))
+    whole = evaluate_batch(genomes, p)
+    for k in range(len(genomes)):
+        assert whole[k].tobytes() == evaluate_batch(genomes[k:k + 1], p)[0].tobytes(), k
 
 
 # a coarse grid makes ties, duplicates and chains common
@@ -125,7 +120,7 @@ objective_tables = st.integers(0, 30).flatmap(lambda n: st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(objective_tables)
 def test_non_dominated_sort_matches_brute_force(objectives):
-    assert non_dominated_sort(objectives).tolist() == _brute_force_rank(objectives).tolist()
+    assert non_dominated_sort(objectives).tolist() == brute_force_rank(objectives).tolist()
 
 
 # integer-valued objectives keep ties common and make scaling preserve them
@@ -152,6 +147,14 @@ def test_crowding_invariants(objectives, scale, column):
     assert np.array_equal(np.isinf(d_scaled), np.isinf(d))
     finite = np.isfinite(d)
     np.testing.assert_allclose(d_scaled[finite], d[finite], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(objective_tables, grid_tables))
+def test_rank_and_crowd_matches_front_by_front_reference(objectives):
+    rank, crowding = _rank_and_crowd(objectives)
+    assert rank.tolist() == brute_force_rank(objectives).tolist()
+    assert np.array_equal(crowding, crowding_by_front(objectives, rank))
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
