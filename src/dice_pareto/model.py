@@ -15,19 +15,32 @@ weighted isoelastic utility of per-capita consumption, to be maximized) and
 the peak atmospheric temperature deviation T_AT,max over the horizon (to be
 minimized).
 
-The policy recursion is written once, in ``_recursion``, and numpy
-broadcasting runs it on either rank: one genome (2H,) advances numpy-scalar
-states, an (n, 2H) table advances length-n arrays. It is the one place W and
-T_AT,max are computed. ``simulate`` and ``evaluate_policy`` run it on one
-policy (``cli simulate``, representatives); ``simulate`` returns its W and
-T_max with the states and flows as named columns in a ``Trajectory``.
-``evaluate_batch`` runs it on the whole population, once per generation. The
-per-step kernels below take floats or arrays alike and never raise: the
-recursion checks K > 0, M_AT > 0 and C > 0 for every step and row after its
-loop, and names the first failure. The policy-independent paths (population,
-TFP, emission intensity, land-use emissions, and the per-step terms built
-from them) come from one cache keyed on the frozen ``ModelParams``, filled on
-first use with the scalar step functions below.
+``_recursion`` is the one place W and T_AT,max are computed. The terms that
+need no state come first, for every step at once; then its step loop takes
+the rank of its input:
+
+* one genome (2H,) steps on numpy scalars through the kernels below and
+  keeps every step. ``simulate`` and ``evaluate_policy`` run it on one policy
+  (``cli simulate``, representatives); ``simulate`` returns its W and T_max
+  with the states and flows as named columns in a ``Trajectory``.
+* an (n, 2H) table steps on length-n rows and advances its six linear states
+  (K, M_AT, M_UP, M_LO, T_AT, T_LO) as one stacked array, whose rows are the
+  products and sums of ``step_capital``, ``step_carbon`` and ``step_climate``
+  in their order, so the stacked step gives bit for bit what those kernels
+  give on the same rows. ``evaluate_batch`` runs it on the whole
+  population, once per generation.
+
+The cost of either loop is numpy's per-call dispatch, not arithmetic: an
+operation on numpy scalars costs about 0.2 us and one on a short array about
+1 us, whatever its length. Stacking cuts a table's step from 46 array calls
+to 28. One genome keeps the scalar kernels: run as a one-row table it took
+1.28 ms against 0.33 ms on numpy scalars. The per-step kernels take floats
+or arrays alike and never raise: each loop checks K > 0, M_AT > 0 and C > 0
+for every step and row after it ends, and names the first failure. The
+policy-independent paths (population, TFP, emission intensity, land-use
+emissions, and the per-step terms built from them) come from one cache
+keyed on the frozen ``ModelParams``, filled on first use with the scalar
+step functions below.
 """
 
 from __future__ import annotations
@@ -182,9 +195,15 @@ def land_emissions(i: int, p: ModelParams) -> float:
     return p.E_L0 * (1.0 - p.delta_EL) ** i
 
 
-def total_emissions(sigma: float, mu: float, Y: float, E_Land: float) -> float:
-    """Emissions from economic activity, scaled down by mitigation, plus land use."""
-    return sigma * (1.0 - mu) * Y + E_Land
+def residual_intensity(sigma: float, mu: float) -> float:
+    """Emission intensity left after mitigation at rate mu."""
+    return sigma * (1.0 - mu)
+
+
+def total_emissions(residual: float, Y: float, E_Land: float) -> float:
+    """Emissions from economic activity, at the ``residual_intensity`` left
+    after mitigation, plus land use."""
+    return residual * Y + E_Land
 
 
 def step_carbon(
@@ -296,14 +315,137 @@ def _fail(step: int, row: int | None, message: str) -> NoReturn:
 
 class _Run(NamedTuple):
     """One pass of the recursion: the objectives and, for one genome, each
-    step's values (a table keeps state 0 and no flows)."""
+    step's values (a table keeps none)."""
 
     W: np.ndarray
     T_max: np.ndarray
     states: list[tuple]  # states 0..H: K, M_AT, M_UP, M_LO, T_AT, T_LO
     flows: list[tuple]   # steps 0..H-1: Y, Omega, Q, I, C, E, F
-    Lambda: np.ndarray   # steps 0..H-1, one row per step
     U: np.ndarray        # steps 0..H-1, one row per step
+
+
+# A table advances its linear states K, M_AT, M_UP, M_LO, T_AT and T_LO as
+# rows 0-5 of one (10, n) box; rows 6-8 hold the step's inputs I, xi2 * E and
+# F, and row 9 holds -0.0. Row r of the next box is
+#     c[r] * box[t[r]] + c[6 + r] * box[t[6 + r]] + c[12 + r] * box[t[12 + r]]
+# with t = _LINEAR_TAKE and c = _linear_coefficients(p): the products and sums
+# of step_capital, step_carbon and step_climate, in their order. A two-term
+# row adds 0 * -0.0 = -0.0, which leaves every sum as it is.
+_LINEAR_TAKE = np.array([0, 1, 1, 2, 4, 4,   # K, M_AT, M_AT, M_UP, T_AT, T_AT
+                         6, 2, 2, 3, 5, 5,   # I, M_UP, M_UP, M_LO, T_LO, T_LO
+                         9, 7, 3, 9, 8, 9])  # -0.0, xi2 * E, M_LO, -0.0, F, -0.0
+
+
+def _linear_coefficients(p: ModelParams) -> np.ndarray:
+    """The 18 coefficients of the table's linear step, in ``_LINEAR_TAKE`` order."""
+    return np.array([(1.0 - p.delta_K) ** p.dt, p.zeta11, p.zeta21, p.zeta32, p.phi11, p.phi21,
+                     p.dt, p.zeta12, p.zeta22, p.zeta33, p.phi12, p.phi22,
+                     0.0, p.dt, p.zeta23, 0.0, p.xi1, 0.0])
+
+
+def _linear_step(box: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Advance the six linear states of a (10, n) box into ``out`` (6, n);
+    ``coefficients`` is ``_linear_coefficients`` repeated to (18, n)."""
+    terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
+    np.add(terms[:6], terms[6:12], out=out)
+    return np.add(out, terms[12:], out=out)
+
+
+def _policy_terms(genomes: np.ndarray, ex: _Exogenous, p: ModelParams):
+    """The terms of every step that need no state, one row per step: the kept
+    share of output 1 - Lambda, the saving rate s and the emission intensity
+    left after mitigation. Genes are clipped to [0, 1]."""
+    steps = len(ex.theta1)
+    column = (steps,) + (1,) * (genomes.ndim - 1)
+    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
+    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
+    Lambda = abatement_fraction(mu, np.reshape(ex.theta1, column), p)
+    return (np.subtract(1.0, Lambda, out=Lambda), s,
+            residual_intensity(np.reshape(ex.sigma[:steps], column), mu))
+
+
+def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Floor the consumption path in place and return it, once every step's
+    capital, atmospheric carbon and floored consumption is positive.
+
+    Otherwise raise for the first step, then check (``_CHECKS`` order), then
+    row that fails.
+    """
+    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR, out=C))
+    failures = []
+    for check, path in enumerate(paths):
+        ok = path > 0
+        if not ok.all():
+            step, *row = np.unravel_index(np.argmin(ok), ok.shape)
+            failures.append((step, check, row))
+    if failures:
+        step, check, row = min(failures)
+        value = paths[check][(step, *row)]
+        message = f"{_CHECKS[check]}, got {value}"
+        if not np.isfinite(value):
+            message = f"arithmetic overflow: {message}"
+        _fail(int(step), int(row[0]) if row else None, message)
+    return C
+
+
+def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
+    """The step loop of one genome, on numpy scalars.
+
+    Returns the checked consumption path, the peak T_AT, and each state and
+    flow.
+    """
+    K, M_AT, M_UP, M_LO, T_AT, T_LO = (
+        np.float64(v) for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
+    states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
+    flows, checked, peaks = [], [], [T_AT]
+    for i in range(len(kept)):
+        Y = gross_output(ex.A[i], K, ex.labour[i], p)
+        Omega = damage_factor(T_AT, p)
+        Q = kept[i] * Omega * Y
+        I = s[i] * Q
+        E = total_emissions(residual[i], Y, ex.E_Land[i])
+        F = radiative_forcing(M_AT, ex.forcing[i], p)
+        C = Q - I
+        checked.append((K, M_AT, C))
+        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
+        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
+        K = step_capital(K, I, p)
+        peaks.append(T_AT)
+        flows.append((Y, Omega, Q, I, C, E, F))
+        states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
+    C = _checked_consumption(*np.reshape(checked, (-1, 3)).T)
+    # one reduction: a per-step np.maximum on numpy scalars costs more
+    return C, np.max(peaks), states, flows
+
+
+def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
+    """The step loop of a table, on length-n rows.
+
+    The linear states advance together in one box (``_linear_step``), written
+    into a pair of buffers in turn, so K and M_AT are copied out for the
+    checks. Returns the checked consumption path, the peak T_AT, and no
+    states or flows.
+    """
+    steps, n = kept.shape
+    coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
+    boxes = np.empty((2, 10, n))
+    boxes[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
+    boxes[:, 9] = -0.0
+    K_path, M_AT_path, C_path = (np.empty((steps, n)) for _ in range(3))
+    T_max = boxes[0, 4].copy()
+    for i in range(steps):
+        box, nxt = boxes[i % 2], boxes[1 - i % 2]
+        K, M_AT, T_AT = box[0], box[1], box[4]
+        K_path[i], M_AT_path[i] = K, M_AT
+        Y = gross_output(ex.A[i], K, ex.labour[i], p)
+        Omega = damage_factor(T_AT, p)
+        Q = kept[i] * Omega * Y
+        I = np.multiply(s[i], Q, out=box[6])
+        np.subtract(Q, I, out=C_path[i])
+        np.multiply(p.xi2, total_emissions(residual[i], Y, ex.E_Land[i]), out=box[7])
+        box[8] = radiative_forcing(M_AT, ex.forcing[i], p)
+        np.maximum(T_max, _linear_step(box, coefficients, nxt[:6])[4], out=T_max)
+    return _checked_consumption(K_path, M_AT_path, C_path), T_max, [], []
 
 
 # Overflow and invalid operations give inf/nan without a warning; the checks
@@ -312,61 +454,30 @@ class _Run(NamedTuple):
 def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     """Run the closed-loop dynamics for one genome (2H,) or a table (n, 2H).
 
-    The same lines serve both ranks: one genome advances numpy scalars, a
-    table advances length-n arrays. Genes are clipped to [0, 1]. Utility
-    feeds nothing back, so it is evaluated for every step at once after the
-    loop. A capital stock, carbon mass or consumption that is not positive
-    raises ``ModelDomainError`` naming the first failing step (and row, for
-    a table); a non-finite one is reported as an arithmetic overflow.
+    The terms that need no state come first, for every step at once. One
+    genome then steps on numpy scalars and keeps every step; a table steps on
+    length-n rows and advances its linear states as one stacked array (see
+    the module docstring for why). Utility feeds nothing back, so it is
+    evaluated for every step at once after the loop. A capital stock, carbon
+    mass or consumption that is not positive raises ``ModelDomainError``
+    naming the first failing step (and row, for a table); a non-finite one
+    is reported as an arithmetic overflow.
     """
     ex = _exogenous(p)
     steps = len(ex.theta1)
-    zero = np.zeros(genomes.shape[:-1])  # 0-d for one genome: states are scalars
-    column = (steps,) + (1,) * zero.ndim  # a step path against one row per step
-    # policy terms of every step at once, one row per step
-    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
-    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
-    Lambda = abatement_fraction(mu, np.reshape(ex.theta1, column), p)
-    kept = 1.0 - Lambda
-
-    K, M_AT, M_UP, M_LO, T_AT, T_LO = (
-        zero + v for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
-    record = zero.ndim == 0  # only ``simulate``'s single genome reads every step
-    states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
-    flows, checked, peaks = [], [], [T_AT]
-    for i in range(steps):
-        Y = gross_output(ex.A[i], K, ex.labour[i], p)
-        Omega = damage_factor(T_AT, p)
-        Q = kept[i] * Omega * Y
-        I = s[i] * Q
-        E = total_emissions(ex.sigma[i], mu[i], Y, ex.E_Land[i])
-        F = radiative_forcing(M_AT, ex.forcing[i], p)
-        C = Q - I
-        checked.append((K, M_AT, C))
-        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
-        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
-        K = step_capital(K, I, p)
-        peaks.append(T_AT)
-        if record:
-            flows.append((Y, Omega, Q, I, C, E, F))
-            states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
-
-    checked = np.reshape(checked, (steps, 3) + zero.shape)  # K, M_AT, C of each step
-    floored = np.maximum(checked[:, 2], CONSUMPTION_FLOOR, out=checked[:, 2])
-    U = utility(floored, np.reshape(ex.L[:steps], column), p)
-    ok = checked > 0
-    if not ok.all():
-        step, check, *row = np.unravel_index(np.argmin(ok), ok.shape)
-        value = checked[(step, check, *row)]
-        message = f"{_CHECKS[check]}, got {value}"
-        if not np.isfinite(value):
-            message = f"arithmetic overflow: {message}"
-        _fail(int(step), int(row[0]) if row else None, message)
+    shape = genomes.shape[:-1]  # () for one genome, (n,) for a table
+    column = (steps,) + (1,) * len(shape)  # a step path against one row per step
+    loop = _table_steps if shape else _genome_steps
+    C, T_max, states, flows = loop(ex, *_policy_terms(genomes, ex, p), p)
     if ex.failure is not None:
-        _fail(len(ex.L) - 1, 0 if zero.ndim else None, ex.failure)
-    W = sum(U / np.reshape(ex.discount, column), zero)  # step by step, in order
-    T_max = np.max(peaks, axis=0)  # one reduction: a per-step np.maximum costs more
-    return _Run(W=W, T_max=T_max, states=states, flows=flows, Lambda=Lambda, U=U)
+        _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
+    U = utility(C, np.reshape(ex.L[:steps], column), p)
+    # W adds the discounted utilities to 0 step by step, in order, so a row's
+    # W does not depend on the rows scored with it
+    terms = np.zeros((steps + 1,) + shape)
+    np.divide(U, np.reshape(ex.discount, column), out=terms[1:])
+    W = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return _Run(W=W, T_max=T_max, states=states, flows=flows, U=U)
 
 
 def _genome(policy: PolicyMatrix, p: ModelParams) -> np.ndarray:
@@ -392,7 +503,8 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
                   E_Land=np.array(ex.E_Land))
     derived = dict(zip(("Y", "Omega", "Q", "I", "C", "E", "F"),
                        np.reshape(run.flows, (-1, 7)).T))
-    derived.update(Lambda=run.Lambda, theta1=np.array(ex.theta1), U=run.U)
+    theta1 = np.array(ex.theta1)
+    derived.update(Lambda=abatement_fraction(policy.mu, theta1, p), theta1=theta1, U=run.U)
     return Trajectory(W=float(run.W), T_max=float(run.T_max), states=states,
                       derived=derived, policy=policy, params=p)
 
@@ -407,9 +519,10 @@ def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
     """Score n policies at once: (n, 2H) genomes to an (n, 2) table of (W, T_max).
 
     Row k scores like ``evaluate_policy(PolicyMatrix.from_genome(genomes[k]), p)``,
-    through the same recursion on length-n arrays. The two agree to a few
+    through the same recursion on length-n rows. The two agree to a few
     ulps, not bitwise, because numpy's vectorised ``power`` and ``log2`` may
-    round the last bit differently from its scalar ones. A domain failure
+    round the last bit differently from its scalar ones. A row's bytes do not
+    depend on the other rows of its table. A domain failure
     raises ``ModelDomainError`` naming the step and the first failing row,
     which it also carries as ``exc.row``.
     """

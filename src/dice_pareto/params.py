@@ -84,10 +84,17 @@ class ModelParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        # a discount factor (1 + rho) ** (i * dt) must be real and positive
+        if not self.rho > -1.0:
+            raise ConfigError(f"rho must be greater than -1, got {self.rho}")
         if self.alpha < 0 or self.alpha == 1.0:
             raise ConfigError(f"alpha must be >= 0 and != 1, got {self.alpha}")
-        if not self.L_a > 0:
-            raise ConfigError(f"L_a must be positive, got {self.L_a}")
+        # L_a bounds the population; the forcing ramp divides by t_f, the
+        # mitigation cost by theta2, and forcing takes log2(M_AT / M_AT_1750)
+        for name in ("L_a", "t_f", "theta2", "M_AT_1750"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         # gross output needs K > 0 from step 0 on
         for name in ("L0", "A0", "K0", "sigma0", "M_AT0", "M_UP0", "M_LO0"):
             value = getattr(self, name)

@@ -107,6 +107,19 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("t_f", 0), ("theta2", 0), ("M_AT_1750", 0),
+                                              ("M_AT_1750", -588)])
+    def test_non_positive_divisor_is_one_line_config_error(self, tmp_path, tiny_cfg, capsys,
+                                                           field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "model": {**TINY["model"], field: value}}))
+        out = tmp_path / "out"
+        for argv in (["simulate", "--mu", "0.5", "--s", "0.2"], ["optimize"]):
+            assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err == f"config error: {field} must be positive, got {float(value)}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1e400", "NaN"])
     def test_non_finite_representative_count_is_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "cfg.json"

@@ -7,9 +7,14 @@ implementation.
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from mpmath import mp, mpf
 
 from dice_pareto import ModelDomainError, ModelParams
@@ -22,6 +27,7 @@ from dice_pareto.model import (
     land_emissions,
     mitigation_cost_theta1,
     radiative_forcing,
+    residual_intensity,
     step_capital,
     step_carbon,
     step_climate,
@@ -31,6 +37,7 @@ from dice_pareto.model import (
     total_emissions,
     utility,
 )
+from dice_pareto.model import _linear_coefficients, _linear_step
 
 mp.dps = 40
 
@@ -200,14 +207,14 @@ class TestLandEmissions:
 
 class TestTotalEmissions:
     def test_full_mitigation_cancels_economic_emissions(self):
-        assert total_emissions(0.35, 1.0, 100.0, 2.6) == 2.6
+        assert total_emissions(residual_intensity(0.35, 1.0), 100.0, 2.6) == 2.6
 
     def test_no_mitigation_value(self):
-        assert total_emissions(0.35, 0.0, 100.0, 2.6) == approx(37.6)
+        assert total_emissions(residual_intensity(0.35, 0.0), 100.0, 2.6) == approx(37.6)
 
     def test_linear_in_output(self):
-        e1 = total_emissions(0.3, 0.4, 50.0, 0.0)
-        e2 = total_emissions(0.3, 0.4, 100.0, 0.0)
+        e1 = total_emissions(residual_intensity(0.3, 0.4), 50.0, 0.0)
+        e2 = total_emissions(residual_intensity(0.3, 0.4), 100.0, 0.0)
         assert e2 == approx(2.0 * e1)
 
 
@@ -288,3 +295,51 @@ class TestUtility:
         u1 = utility(0.01, 1.0, P)
         u2 = utility(0.02, 2.0, P)
         assert u2 == approx(2.0 * u1)
+
+
+# every linear coefficient distinct, so a coefficient written into the wrong
+# row or term of the stacked step cannot match by coincidence
+DISTINCT = ModelParams(dt=3.0, delta_K=0.07, xi1=0.11, xi2=0.29, zeta11=0.81, zeta12=0.17,
+                       zeta21=0.13, zeta22=0.71, zeta23=0.0023, zeta32=0.0061, zeta33=0.97,
+                       phi11=0.83, phi12=0.019, phi21=0.031, phi22=0.93)
+EXTREMES = [0.0, -0.0, 1e-310, 1e308, -1e308, 1.7e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def linear_inputs(draw):
+    """Six states (K, M_AT, M_UP, M_LO, T_AT, T_LO) and the inputs I, E, F of n
+    rows, with zeros, values near overflow, infinities and NaN common."""
+    n = draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from(EXTREMES), st.floats(-1e4, 1e4), st.floats())
+    return draw(arrays(float, (9, n), elements=values))
+
+
+def assert_stacked_step_matches_kernels(drawn, p):
+    K, M_AT, M_UP, M_LO, T_AT, T_LO, I, E, F = drawn
+    n = drawn.shape[1]
+    box = np.empty((10, n))  # the table's layout: states, I, xi2 * E, F, -0.0
+    with np.errstate(all="ignore"):
+        box[:9] = K, M_AT, M_UP, M_LO, T_AT, T_LO, I, p.xi2 * E, F
+        box[9] = -0.0
+        got = _linear_step(box, np.repeat(_linear_coefficients(p)[:, None], n, axis=1),
+                           np.empty((6, n)))
+        want = np.array([step_capital(K, I, p), *step_carbon(M_AT, M_UP, M_LO, E, p),
+                         *step_climate(T_AT, T_LO, F, p)])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+
+class TestStackedLinearStep:
+    """The stacked step of a table against the scalar kernels it replaces."""
+
+    @pytest.mark.parametrize("p", [P, DISTINCT], ids=["default", "distinct"])
+    @settings(max_examples=150, deadline=None)
+    @given(linear_inputs())
+    def test_bit_equal_to_capital_carbon_and_climate_kernels(self, p, drawn):
+        assert_stacked_step_matches_kernels(drawn, p)
+
+    @pytest.mark.parametrize("p", [P, DISTINCT], ids=["default", "distinct"])
+    def test_signed_zeros_and_extremes(self, p):
+        signed_zeros = np.array(list(itertools.product([0.0, -0.0], repeat=9))).T
+        extremes = np.random.default_rng(8).choice(EXTREMES, size=(9, 4000))
+        assert_stacked_step_matches_kernels(np.hstack((signed_zeros, extremes)), p)

@@ -76,6 +76,14 @@ def test_initial_conditions_match_dice2016r_release():
     ({"K0": 0.0}, "K0"),
     ({"psi1": -0.1}, "psi1"),
     ({"psi2": -0.5}, "psi2"),
+    ({"t_f": 0.0}, "t_f"),
+    ({"t_f": -17.0}, "t_f"),
+    ({"theta2": 0.0}, "theta2"),
+    ({"theta2": -2.6}, "theta2"),
+    ({"M_AT_1750": 0.0}, "M_AT_1750"),
+    ({"M_AT_1750": -588.0}, "M_AT_1750"),
+    ({"rho": -1.0}, "rho"),
+    ({"rho": -2.0, "dt": 2.5}, "rho"),
 ])
 def test_invariant_violations_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

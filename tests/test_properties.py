@@ -9,10 +9,12 @@ crowding each front on its own is the reference for the one-pass crowding.
 
 from __future__ import annotations
 
+import functools
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,6 +22,7 @@ from oracle import brute_force_rank, crowding_by_front, resimulate
 
 from dice_pareto import (
     FrontArchive,
+    ModelDomainError,
     ModelParams,
     PolicyMatrix,
     crowding_distance,
@@ -30,7 +33,7 @@ from dice_pareto import (
     simulate,
 )
 from dice_pareto.harness import format_front_csv
-from dice_pareto.model import discount_factor
+from dice_pareto.model import _CHECKS, CONSUMPTION_FLOOR, _checked_consumption, discount_factor
 from dice_pareto.nsga2 import _rank_and_crowd
 
 # numpy's vectorised pow/log2 may differ from its scalar ones in the last
@@ -101,13 +104,70 @@ def test_empty_batch_gives_empty_table():
     assert evaluate_batch(np.empty((0, 6)), p).shape == (0, 2)
 
 
+# what a row scores must not depend on the rows scored with it: not on the
+# size of its table, nor on its position there
+COMPOSED = np.random.default_rng(11).random((120, 2 * ModelParams().H))
+
+
+@functools.cache
+def composed_whole() -> np.ndarray:
+    return evaluate_batch(COMPOSED, ModelParams())
+
+
+def assert_rows_as_in_whole(offset, size):
+    part = evaluate_batch(COMPOSED[offset:offset + size], ModelParams())
+    for k, row in enumerate(part):
+        assert row.tobytes() == composed_whole()[offset + k].tobytes(), (offset, size, k)
+
+
 def test_batch_row_does_not_depend_on_its_batch():
-    # what a row scores must not depend on the rows scored with it
-    p = ModelParams()
-    genomes = np.random.default_rng(11).random((50, 2 * p.H))
-    whole = evaluate_batch(genomes, p)
-    for k in range(len(genomes)):
-        assert whole[k].tobytes() == evaluate_batch(genomes[k:k + 1], p)[0].tobytes(), k
+    for k in range(50):
+        assert_rows_as_in_whole(k, 1)
+    for offset in (0, 1, 7, 60):
+        for size in (2, 13, 60):
+            assert_rows_as_in_whole(offset, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, len(COMPOSED)).flatmap(
+    lambda size: st.tuples(st.just(size), st.integers(0, len(COMPOSED) - size))))
+def test_any_contiguous_slice_scores_as_in_the_whole_batch(drawn):
+    size, offset = drawn
+    assert_rows_as_in_whole(offset, size)
+
+
+def first_failure(K, M_AT, C):
+    """The message and row of the first value that is not positive, scanning
+    step by step, then K, M_AT and floored C, then row by row."""
+    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR))
+    for step in range(len(K)):
+        for check, path in enumerate(paths):
+            for row, value in enumerate(np.atleast_1d(path[step])):
+                if not value > 0:
+                    where = f"step {step}" if K.ndim == 1 else f"step {step}, row {row}"
+                    prefix = "" if np.isfinite(value) else "arithmetic overflow: "
+                    return f"{where}: {prefix}{_CHECKS[check]}, got {value}", K.ndim > 1
+    return None
+
+
+check_values = st.sampled_from([2.0, 1.0, 1e-300, 0.0, -0.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(), (1,), (3,)]).flatmap(lambda rows: st.integers(0, 4).flatmap(
+    lambda steps: arrays(float, (3, steps) + rows, elements=check_values))))
+def test_checks_name_the_first_failure_in_step_check_row_order(paths):
+    K, M_AT, C = paths.copy()
+    want = first_failure(K, M_AT, C)
+    if want is None:
+        assert np.array_equal(_checked_consumption(K, M_AT, C),
+                              np.maximum(paths[2], CONSUMPTION_FLOOR))
+        return
+    message, has_row = want
+    with pytest.raises(ModelDomainError) as exc:
+        _checked_consumption(K, M_AT, C)
+    assert str(exc.value) == message
+    assert (exc.value.row is not None) == has_row
 
 
 # a coarse grid makes ties, duplicates and chains common
