@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -258,6 +257,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _format_rows(table: np.ndarray) -> list[str]:
+    """Each row of a float table as one line of ``_fmt`` cells, formatted with
+    one ``%`` template per row (the same text, fewer calls); rows are
+    converted one at a time so no whole-table list of floats is built."""
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row.tolist()) for row in table]
+
+
 def write_files(texts: dict[Path, str]) -> list[Path]:
     """Write each text to its path; returns the paths.
 
@@ -302,9 +309,7 @@ def format_front_csv(archive: FrontArchive) -> str:
     header = ["W", "T_max"]
     header += [f"mu_{i}" for i in range(horizon)]
     header += [f"s_{i}" for i in range(horizon)]
-    lines = [",".join(header)]
-    for row in np.hstack((archive.objectives, archive.genomes)):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + _format_rows(np.hstack((archive.objectives, archive.genomes)))
     return "\n".join(lines) + "\n"
 
 
@@ -314,13 +319,15 @@ TRAJECTORY_COLUMNS = ["year", "T_AT", "T_LO", "E", "M_AT", "M_UP", "M_LO",
 
 def format_trajectory_csv(traj: Trajectory) -> str:
     """H+1 rows; step-derived and control columns are empty on the final row."""
-    p = traj.params
-    columns = {**traj.states, **traj.derived, "mu": traj.policy.mu, "s": traj.policy.s}
-    # Python floats: _fmt formats them faster than numpy scalars
-    cells = [list(map(_fmt, [p.year(i) for i in range(p.H + 1)]))]
-    cells += [list(map(_fmt, columns[name].tolist())) for name in TRAJECTORY_COLUMNS[1:]]
+    H = traj.params.H
+    columns = {**traj.states, **traj.derived, "mu": traj.policy.mu, "s": traj.policy.s,
+               "year": [traj.params.year(i) for i in range(H + 1)]}
+    columns = [columns[name] for name in TRAJECTORY_COLUMNS]
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines += map(",".join, itertools.zip_longest(*cells, fillvalue=""))
+    lines += _format_rows(np.column_stack([column[:H] for column in columns]))
+    final = [float(column[H]) for column in columns if len(column) > H]  # the states
+    lines.append(",".join("%.17g" if len(column) > H else "" for column in columns)
+                 % tuple(final))
     return "\n".join(lines) + "\n"
 
 

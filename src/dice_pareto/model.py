@@ -33,19 +33,23 @@ the rank of its input:
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
 operation on numpy scalars costs about 0.2 us and one on a short array about
 1 us, whatever its length. Stacking cuts a table's step from 46 array calls
-to 28. One genome keeps the scalar kernels: run as a one-row table it took
-1.28 ms against 0.33 ms on numpy scalars. The per-step kernels take floats
-or arrays alike and never raise: each loop checks K > 0, M_AT > 0 and C > 0
-for every step and row after it ends, and names the first failure. The
-policy-independent paths (population, TFP, emission intensity, land-use
-emissions, and the per-step terms built from them) come from one cache
-keyed on the frozen ``ModelParams``, filled on first use with the scalar
-step functions below.
+to 28. An array call with a Python-float operand pays for numpy 2's
+weak-scalar conversion (about 0.75 against 0.48 us with a 0-d array operand
+at n = 60), so a table's kernels read cached 0-d constants, and its loop
+zips row views built once per call. One genome keeps the scalar kernels: run
+as a one-row table it took 1.28 ms against 0.33 ms on numpy scalars. The
+per-step kernels take floats or arrays alike and never raise: each loop
+checks K > 0, M_AT > 0 and C > 0 for every step and row after it ends, and
+names the first failure. The policy-independent paths (population, TFP,
+emission intensity, land-use emissions, and the per-step terms built from
+them) come from one cache keyed on the frozen ``ModelParams``, filled on
+first use with the scalar step functions below.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
@@ -253,6 +257,21 @@ def discount_factor(i: int, p: ModelParams) -> float:
     return (1.0 + p.rho) ** (i * p.dt)
 
 
+class _TableConstants(NamedTuple):
+    """The constants of a table's step as read-only 0-d arrays, which the
+    kernels read in place of ``ModelParams``' floats. 0-d, not rows: numpy's
+    sqrt, square and reciprocal fast paths for ``K ** gamma`` hold for a 0-d
+    exponent but not for a row, so the bits stay those of a float."""
+
+    gamma: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    F_2x: np.ndarray
+    M_AT_1750: np.ndarray
+    xi2: np.ndarray
+    steps: tuple[tuple[np.ndarray, ...], ...]  # (A, labour, E_Land, forcing) of each step
+
+
 class _Exogenous(NamedTuple):
     """The policy-independent paths of one ``ModelParams``.
 
@@ -271,8 +290,15 @@ class _Exogenous(NamedTuple):
     theta1: tuple[float, ...]
     labour: tuple[float, ...]     # labour_factor(L)
     forcing: tuple[float, ...]    # exogenous_forcing
-    discount: tuple[float, ...]   # discount_factor
     failure: str | None
+    columns: np.ndarray           # (4, steps, 1): theta1, sigma, L and discount_factor
+    table: _TableConstants
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @functools.lru_cache(maxsize=16)
@@ -282,23 +308,37 @@ def _exogenous(p: ModelParams) -> _Exogenous:
     terms = []  # (theta1, labour, forcing, discount) of each step
     failure = None
     for i in range(p.H):
+        computed = []  # the step's four terms, then the four advanced states
         try:
-            terms.append((mitigation_cost_theta1(sigma[i], i, p), labour_factor(L[i], p),
-                          exogenous_forcing(i, p), discount_factor(i, p)))
-            advanced = (step_population(L[i], p), step_tfp(A[i], i, p),
-                        step_emission_intensity(sigma[i], i, p), land_emissions(i + 1, p))
+            for name, f, *args in (
+                    ("mitigation cost coefficient", mitigation_cost_theta1, sigma[i], i, p),
+                    ("labour factor", labour_factor, L[i], p),
+                    ("exogenous forcing", exogenous_forcing, i, p),
+                    ("discount factor", discount_factor, i, p),
+                    ("population", step_population, L[i], p),
+                    ("TFP", step_tfp, A[i], i, p),
+                    ("emission intensity", step_emission_intensity, sigma[i], i, p),
+                    ("land-use emissions", land_emissions, i + 1, p)):
+                computed.append(f(*args))
         except ModelDomainError as exc:
             failure = str(exc)
+        except OverflowError:  # a float overflow counts as a domain error
+            failure = f"arithmetic overflow in the {name}"
+        if len(computed) >= 4:
+            terms.append(computed[:4])
+        if failure is not None:
             break
-        except OverflowError as exc:  # a float overflow counts as a domain error
-            failure = f"arithmetic overflow: {exc}"
-            break
-        for path, value in zip((L, A, sigma, E_Land), advanced):
-            path.append(value)
+        for state, value in zip((L, A, sigma, E_Land), computed[4:]):
+            state.append(value)
     theta1, labour, forcing, discount = tuple(zip(*terms)) or ((),) * 4
+    steps = len(terms)
+    table = _TableConstants(
+        *map(_read_only, (p.gamma, p.psi1, p.psi2, p.F_2x, p.M_AT_1750, p.xi2)),
+        steps=tuple(zip(*(map(_read_only, path[:steps]) for path in (A, labour, E_Land, forcing)))))
     return _Exogenous(
         L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=theta1,
-        labour=labour, forcing=forcing, discount=discount, failure=failure,
+        labour=labour, forcing=forcing, failure=failure,
+        columns=_read_only([theta1, sigma[:steps], L[:steps], discount])[..., None], table=table,
     )
 
 
@@ -351,17 +391,16 @@ def _linear_step(box: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> 
     return np.add(out, terms[12:], out=out)
 
 
-def _policy_terms(genomes: np.ndarray, ex: _Exogenous, p: ModelParams):
+def _policy_terms(genomes: np.ndarray, theta1: np.ndarray, sigma: np.ndarray, p: ModelParams):
     """The terms of every step that need no state, one row per step: the kept
     share of output 1 - Lambda, the saving rate s and the emission intensity
-    left after mitigation. Genes are clipped to [0, 1]."""
-    steps = len(ex.theta1)
-    column = (steps,) + (1,) * (genomes.ndim - 1)
+    left after mitigation. Genes are clipped to [0, 1]; ``theta1`` and
+    ``sigma`` are ``_Exogenous.columns`` in the rank of ``genomes``."""
+    steps = len(theta1)
     mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
     s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
-    Lambda = abatement_fraction(mu, np.reshape(ex.theta1, column), p)
-    return (np.subtract(1.0, Lambda, out=Lambda), s,
-            residual_intensity(np.reshape(ex.sigma[:steps], column), mu))
+    Lambda = abatement_fraction(mu, theta1, p)
+    return np.subtract(1.0, Lambda, out=Lambda), s, residual_intensity(sigma, mu)
 
 
 def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -423,29 +462,38 @@ def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
 
     The linear states advance together in one box (``_linear_step``), written
     into a pair of buffers in turn, so K and M_AT are copied out for the
-    checks. Returns the checked consumption path, the peak T_AT, and no
-    states or flows.
+    checks. The kernels read the cached 0-d constants (``_TableConstants``)
+    and the loop zips row views built once per call. Returns the checked
+    consumption path, the peak T_AT, and no states or flows.
     """
     steps, n = kept.shape
+    c = ex.table
     coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
     boxes = np.empty((2, 10, n))
     boxes[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
     boxes[:, 9] = -0.0
-    K_path, M_AT_path, C_path = (np.empty((steps, n)) for _ in range(3))
+    K_M_AT_path = np.empty((steps, 2, n))  # K and M_AT are rows 0 and 1 of a box
+    C_path = np.empty((steps, n))
     T_max = boxes[0, 4].copy()
-    for i in range(steps):
-        box, nxt = boxes[i % 2], boxes[1 - i % 2]
-        K, M_AT, T_AT = box[0], box[1], box[4]
-        K_path[i], M_AT_path[i] = K, M_AT
-        Y = gross_output(ex.A[i], K, ex.labour[i], p)
-        Omega = damage_factor(T_AT, p)
-        Q = kept[i] * Omega * Y
-        I = np.multiply(s[i], Q, out=box[6])
-        np.subtract(Q, I, out=C_path[i])
-        np.multiply(p.xi2, total_emissions(residual[i], Y, ex.E_Land[i]), out=box[7])
-        box[8] = radiative_forcing(M_AT, ex.forcing[i], p)
-        np.maximum(T_max, _linear_step(box, coefficients, nxt[:6])[4], out=T_max)
-    return _checked_consumption(K_path, M_AT_path, C_path), T_max, [], []
+    # per buffer: the buffer, its K and M_AT rows as one view, K, M_AT, T_AT,
+    # its I, xi2 * E and F rows, and the other buffer's six states and T_AT
+    parities = [(box, box[:2], box[0], box[1], box[4], box[6], box[7], box[8], nxt[:6], nxt[4])
+                for box, nxt in (boxes, boxes[::-1])]
+    for kept_i, s_i, residual_i, K_M_AT_i, C_i, (A, labour, E_Land, forcing), (
+            box, K_M_AT, K, M_AT, T_AT, I, xi2_E, F, states, T_AT_next) in zip(
+            kept, s, residual, K_M_AT_path, C_path, c.steps, itertools.cycle(parities)):
+        K_M_AT_i[...] = K_M_AT
+        Y = gross_output(A, K, labour, c)
+        Omega = damage_factor(T_AT, c)
+        Q = kept_i * Omega * Y
+        np.multiply(s_i, Q, out=I)
+        np.subtract(Q, I, out=C_i)
+        np.multiply(c.xi2, total_emissions(residual_i, Y, E_Land), out=xi2_E)
+        F[...] = radiative_forcing(M_AT, forcing, c)
+        _linear_step(box, coefficients, states)
+        np.maximum(T_max, T_AT_next, out=T_max)
+    C = _checked_consumption(K_M_AT_path[:, 0], K_M_AT_path[:, 1], C_path)
+    return C, T_max, [], []
 
 
 # Overflow and invalid operations give inf/nan without a warning; the checks
@@ -464,18 +512,17 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     is reported as an arithmetic overflow.
     """
     ex = _exogenous(p)
-    steps = len(ex.theta1)
     shape = genomes.shape[:-1]  # () for one genome, (n,) for a table
-    column = (steps,) + (1,) * len(shape)  # a step path against one row per step
     loop = _table_steps if shape else _genome_steps
-    C, T_max, states, flows = loop(ex, *_policy_terms(genomes, ex, p), p)
+    theta1, sigma, L, discount = ex.columns if shape else ex.columns[..., 0]
+    C, T_max, states, flows = loop(ex, *_policy_terms(genomes, theta1, sigma, p), p)
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
-    U = utility(C, np.reshape(ex.L[:steps], column), p)
+    U = utility(C, L, p)
     # W adds the discounted utilities to 0 step by step, in order, so a row's
     # W does not depend on the rows scored with it
-    terms = np.zeros((steps + 1,) + shape)
-    np.divide(U, np.reshape(ex.discount, column), out=terms[1:])
+    terms = np.zeros((len(L) + 1,) + shape)
+    np.divide(U, discount, out=terms[1:])
     W = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return _Run(W=W, T_max=T_max, states=states, flows=flows, U=U)
 
@@ -520,9 +567,10 @@ def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
 
     Row k scores like ``evaluate_policy(PolicyMatrix.from_genome(genomes[k]), p)``,
     through the same recursion on length-n rows. The two agree to a few
-    ulps, not bitwise, because numpy's vectorised ``power`` and ``log2`` may
-    round the last bit differently from its scalar ones. A row's bytes do not
-    depend on the other rows of its table. A domain failure
+    ulps, not bitwise, because numpy's vectorised ``power`` (SIMD) may round
+    the last bit differently from its scalar one (libm); its ``log2`` rounds
+    alike on both. A row's bytes do not depend on the other rows of its
+    table. A domain failure
     raises ``ModelDomainError`` naming the step and the first failing row,
     which it also carries as ``exc.row``.
     """

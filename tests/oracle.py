@@ -141,3 +141,39 @@ def _front_crowding(objectives):
         if span > 0:
             d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
     return d
+
+
+def table_steps_reference(ex, kept, s, residual, p):
+    """The table step loop before its constants became cached 0-d arrays:
+    every kernel reads Python-float parameters from ``p`` and the step's
+    exogenous terms from the cached tuples, each row is indexed per step,
+    and K and M_AT are copied out separately. A drop-in for
+    ``model._table_steps``."""
+    from dice_pareto.model import (_LINEAR_TAKE, _checked_consumption, _linear_coefficients,
+                                   damage_factor, gross_output, radiative_forcing,
+                                   total_emissions)
+
+    steps, n = kept.shape
+    coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
+    boxes = np.empty((2, 10, n))
+    boxes[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
+    boxes[:, 9] = -0.0
+    K_path, M_AT_path, C_path = (np.empty((steps, n)) for _ in range(3))
+    T_max = boxes[0, 4].copy()
+    for i in range(steps):
+        box, nxt = boxes[i % 2], boxes[1 - i % 2]
+        K, M_AT, T_AT = box[0], box[1], box[4]
+        K_path[i], M_AT_path[i] = K, M_AT
+        Y = gross_output(ex.A[i], K, ex.labour[i], p)
+        Omega = damage_factor(T_AT, p)
+        Q = kept[i] * Omega * Y
+        I = np.multiply(s[i], Q, out=box[6])
+        np.subtract(Q, I, out=C_path[i])
+        np.multiply(p.xi2, total_emissions(residual[i], Y, ex.E_Land[i]), out=box[7])
+        box[8] = radiative_forcing(M_AT, ex.forcing[i], p)
+        terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
+        out = nxt[:6]
+        np.add(terms[:6], terms[6:12], out=out)
+        np.add(out, terms[12:], out=out)
+        np.maximum(T_max, out[4], out=T_max)
+    return _checked_consumption(K_path, M_AT_path, C_path), T_max, [], []

@@ -107,6 +107,25 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    # a policy-independent path overflows while the cache of exogenous paths
+    # is filled: the message names the path, not the OverflowError's args
+    @pytest.mark.parametrize("model, step, path", [
+        ({"ell_g": 1e6}, 0, "population"), ({"rho": 1000.0}, 21, "discount factor"),
+        ({"g_sigma": 1000.0}, 0, "emission intensity")])
+    def test_exogenous_overflow_names_its_path(self, tmp_path, capsys, model, step, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "engine": {"population_size": 8,
+                                                              "max_iterations": 2}}))
+        out = tmp_path / "out"
+        for argv, where in ((["simulate", "--mu", "0.5", "--s", "0.2"], f"step {step}"),
+                            (["optimize"], f"step {step}, row 0")):
+            assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: ")
+            assert err.endswith(f"{where}: arithmetic overflow in the {path}\n")
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("t_f", 0), ("theta2", 0), ("M_AT_1750", 0),
                                               ("M_AT_1750", -588)])
     def test_non_positive_divisor_is_one_line_config_error(self, tmp_path, tiny_cfg, capsys,

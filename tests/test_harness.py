@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dice_pareto import (
     ConfigError,
@@ -24,8 +28,16 @@ from dice_pareto import (
     persist_report,
     run_experiment,
     select_representatives,
+    simulate,
 )
-from dice_pareto.harness import config_hash, format_front_csv
+from dice_pareto.harness import (
+    TRAJECTORY_COLUMNS,
+    _fmt,
+    _format_rows,
+    config_hash,
+    format_front_csv,
+    format_trajectory_csv,
+)
 
 MPC = ReferencePoint("MPC", ObjectivePair(27.2348, 4.3885))
 
@@ -342,6 +354,42 @@ class TestPersistence:
         assert config_hash(cfg_a) == config_hash(cfg_b)
         cfg_c = tiny_config(tmp_path, representative_count=4)
         assert config_hash(cfg_a) != config_hash(cfg_c)
+
+
+# values whose text could differ between %-formatting and format(): special
+# values, signed zero, the least subnormal, near-overflow and whole numbers
+FORMAT_EXTREMES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+                   -1.7976931348623157e308, 2015.0, 2200.0, 1.0, 1e16, 1e17, 0.1]
+
+
+def per_cell_lines(table):
+    return [",".join(_fmt(v) for v in row) for row in table]
+
+
+class TestRowFormatter:
+    """The one-template row formatter against per-cell ``_fmt`` joins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(0, 4), st.integers(1, 9)),
+                  elements=st.one_of(st.sampled_from(FORMAT_EXTREMES), st.floats())))
+    def test_bytes_equal_per_cell_format(self, table):
+        assert _format_rows(table) == per_cell_lines(table)
+
+    def test_extremes(self):
+        table = np.array(FORMAT_EXTREMES).reshape(3, 5)
+        assert _format_rows(table) == per_cell_lines(table)
+        assert _format_rows(table)[0] == "inf,-inf,nan,-0,0"
+
+    def test_trajectory_file_equals_per_cell_format(self):
+        traj = simulate(PolicyMatrix.constant(0.3, 0.25, ModelParams().H), ModelParams())
+        p = traj.params
+        columns = {**traj.states, **traj.derived, "mu": traj.policy.mu, "s": traj.policy.s,
+                   "year": np.array([p.year(i) for i in range(p.H + 1)])}
+        lines = [",".join(TRAJECTORY_COLUMNS)]
+        for i in range(p.H + 1):
+            lines.append(",".join(_fmt(columns[name][i]) if i < len(columns[name]) else ""
+                                  for name in TRAJECTORY_COLUMNS))
+        assert format_trajectory_csv(traj) == "\n".join(lines) + "\n"
 
 
 class TestRunConfigDefaults:

@@ -12,13 +12,15 @@ from __future__ import annotations
 import functools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import brute_force_rank, crowding_by_front, resimulate
+from oracle import brute_force_rank, crowding_by_front, resimulate, table_steps_reference
+from test_dynamics import DISTINCT
 
 from dice_pareto import (
     FrontArchive,
@@ -32,13 +34,13 @@ from dice_pareto import (
     non_dominated_sort,
     simulate,
 )
+from dice_pareto import model
 from dice_pareto.harness import format_front_csv
 from dice_pareto.model import _CHECKS, CONSUMPTION_FLOOR, _checked_consumption, discount_factor
 from dice_pareto.nsga2 import _rank_and_crowd
 
-# numpy's vectorised pow/log2 may differ from its scalar ones in the last
-# bit, so a batch row and the single-policy path agree to a few ulps, not
-# bitwise
+# numpy's vectorised pow may differ from its scalar one in the last bit, so
+# a batch row and the single-policy path agree to a few ulps, not bitwise
 BATCH_REL_TOL = 1e-13
 # float64 against 40 digits; the largest deviation seen is about 3e-15
 ORACLE_REL_TOL = 1e-12
@@ -134,6 +136,32 @@ def test_batch_row_does_not_depend_on_its_batch():
 def test_any_contiguous_slice_scores_as_in_the_whole_batch(drawn):
     size, offset = drawn
     assert_rows_as_in_whole(offset, size)
+
+
+# gamma = 0.5 and 2 take numpy's sqrt and square fast paths for K ** gamma;
+# psi1 = 0 is the default; p_b = 20000, zeta11 = -1 and gamma = 1.5 make rows
+# fail in K, M_AT and C; rho = 1000 stops the exogenous paths at step 21
+TABLE_LOOP_CALIBRATIONS = [ModelParams(), ModelParams(gamma=0.5), ModelParams(gamma=2.0),
+                           ModelParams(psi1=0.05), DISTINCT, ModelParams(p_b=20000.0),
+                           ModelParams(zeta11=-1.0), ModelParams(gamma=1.5),
+                           ModelParams(rho=1000.0)]
+
+
+def batch_outcome(genomes, p):
+    """The bytes of ``evaluate_batch``, or its error's message and row."""
+    try:
+        return evaluate_batch(genomes, p).tobytes()
+    except ModelDomainError as exc:
+        return str(exc), exc.row
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(TABLE_LOOP_CALIBRATIONS), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_table_loop_matches_its_reference(p, n, seed):
+    genomes = np.random.default_rng(seed).uniform(-0.5, 1.5, (n, 2 * p.H))
+    with mock.patch.object(model, "_table_steps", table_steps_reference):
+        want = batch_outcome(genomes, p)
+    assert batch_outcome(genomes, p) == want
 
 
 def first_failure(K, M_AT, C):
