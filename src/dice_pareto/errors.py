@@ -17,4 +17,11 @@ class ModelDomainError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """The evolutionary engine could not complete (e.g. evaluator failure)."""
+    """The evolutionary engine could not complete (e.g. evaluator failure).
+
+    ``genome`` is the policy whose evaluation failed, when one did.
+    """
+
+    def __init__(self, message: str, genome=None):
+        super().__init__(message)
+        self.genome = genome

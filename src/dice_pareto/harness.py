@@ -211,21 +211,13 @@ def select_representatives(archive: FrontArchive, k: int) -> list[tuple[str, int
         return list(zip(_labels(n), reversed(range(n))))
     w = archive.objectives[:, 0]
     t = archive.objectives[:, 1]
-    targets = np.linspace(t[-1], t[0], k)
-    taken: set[int] = set()
+    free = np.arange(n)  # rows not yet chosen, in archive order
     chosen = []
-    for target in targets:
-        best_idx = None
-        best_key = None
-        for idx in range(n):
-            if idx in taken:
-                continue
-            key = (abs(t[idx] - target), -w[idx], idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
-        taken.add(best_idx)
-        chosen.append(best_idx)
+    for target in np.linspace(t[-1], t[0], k):
+        # a stable sort keeps archive order among rows tied in both keys
+        best = np.lexsort((-w[free], np.abs(t[free] - target)))[0]
+        chosen.append(int(free[best]))
+        free = np.delete(free, best)
     return list(zip(_labels(k), chosen))
 
 

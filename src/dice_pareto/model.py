@@ -16,40 +16,42 @@ the peak atmospheric temperature deviation T_AT,max over the horizon (to be
 minimized).
 
 ``_recursion`` is the one place W and T_AT,max are computed. The terms that
-need no state come first, for every step at once; then its step loop takes
-the rank of its input:
+need no state come first, for every step at once. Then the step loop of the
+input's rank returns the run's history, one row per state index 0..H (see
+``_HISTORY``), which ``_recursion`` reads once: it checks K > 0, M_AT > 0 and
+C > 0 for every step and row and names the first failure, takes the T_AT
+peak in one reduction, and sums the discounted utilities. So the per-step
+kernels below take floats or arrays alike and never raise.
 
-* one genome (2H,) steps on numpy scalars through the kernels below and
-  keeps every step. ``simulate`` and ``evaluate_policy`` run it on one policy
-  (``cli simulate``, representatives); ``simulate`` returns its W and T_max
-  with the states and flows as named columns in a ``Trajectory``.
-* an (n, 2H) table steps on length-n rows and advances its six linear states
-  (K, M_AT, M_UP, M_LO, T_AT, T_LO) as one stacked array, whose rows are the
-  products and sums of ``step_capital``, ``step_carbon`` and ``step_climate``
-  in their order, so the stacked step gives bit for bit what those kernels
-  give on the same rows. ``evaluate_batch`` runs it on the whole
-  population, once per generation.
+* One genome (2H,) steps on numpy scalars through the kernels and appends a
+  row per step. ``simulate`` and ``evaluate_policy`` run it on one policy
+  (``cli simulate``, representatives); ``simulate`` names the history's
+  columns in a ``Trajectory``.
+* An (n, 2H) table steps on length-n rows and writes step i's (11, n) box
+  into row i of one (H+1, 11, n) history: (H+1) * 11 * n * 8 bytes, 200,640
+  at n = 60 and 668,800 at n = 200. Its six linear states (K, M_AT, M_UP,
+  M_LO, T_AT, T_LO) advance as one stacked array whose rows are the products
+  and sums of ``step_capital``, ``step_carbon`` and ``step_climate`` in their
+  order, so the stacked step gives bit for bit what those kernels give on
+  the same rows. ``evaluate_batch`` runs it on the whole population, once
+  per generation.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
 operation on numpy scalars costs about 0.2 us and one on a short array about
-1 us, whatever its length. Stacking cuts a table's step from 46 array calls
-to 28. An array call with a Python-float operand pays for numpy 2's
+1 us, whatever its length. A table's step makes 25 array calls (46 before
+the stacking). An array call with a Python-float operand pays for numpy 2's
 weak-scalar conversion (about 0.75 against 0.48 us with a 0-d array operand
-at n = 60), so a table's kernels read cached 0-d constants, and its loop
-zips row views built once per call. One genome keeps the scalar kernels: run
-as a one-row table it took 1.28 ms against 0.33 ms on numpy scalars. The
-per-step kernels take floats or arrays alike and never raise: each loop
-checks K > 0, M_AT > 0 and C > 0 for every step and row after it ends, and
-names the first failure. The policy-independent paths (population, TFP,
-emission intensity, land-use emissions, and the per-step terms built from
-them) come from one cache keyed on the frozen ``ModelParams``, filled on
-first use with the scalar step functions below.
+at n = 60), so a table's kernels read cached 0-d constants. One genome keeps
+the scalar kernels: run as a one-row table it took 1.28 ms against 0.33 ms
+on numpy scalars. The policy-independent paths (population, TFP, emission
+intensity, land-use emissions, and the per-step terms built from them) come
+from one cache keyed on the frozen ``ModelParams``, filled on first use with
+the scalar step functions below.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
@@ -354,19 +356,24 @@ def _fail(step: int, row: int | None, message: str) -> NoReturn:
 
 
 class _Run(NamedTuple):
-    """One pass of the recursion: the objectives and, for one genome, each
-    step's values (a table keeps none)."""
+    """One pass of the recursion: the objectives, the run history (see
+    ``_HISTORY``) and each step's utility."""
 
     W: np.ndarray
     T_max: np.ndarray
-    states: list[tuple]  # states 0..H: K, M_AT, M_UP, M_LO, T_AT, T_LO
-    flows: list[tuple]   # steps 0..H-1: Y, Omega, Q, I, C, E, F
-    U: np.ndarray        # steps 0..H-1, one row per step
+    history: np.ndarray
+    U: np.ndarray  # steps 0..H-1, one row per step
 
 
-# A table advances its linear states K, M_AT, M_UP, M_LO, T_AT and T_LO as
-# rows 0-5 of one (10, n) box; rows 6-8 hold the step's inputs I, xi2 * E and
-# F, and row 9 holds -0.0. Row r of the next box is
+# A run history has one row per state index 0..H. A table's row is an (11, n)
+# box: the linear states K, M_AT, M_UP, M_LO, T_AT and T_LO (0-5), the step's
+# inputs I, xi2 * E and F (6-8), -0.0 (9) and C (10). One genome's row has
+# the same 11 columns followed by Y, Omega, Q and E. Step columns are unset
+# in the last row, which holds the states after the last step.
+_HISTORY = ("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO", "I", "xi2_E", "F", "zero", "C",
+            "Y", "Omega", "Q", "E")
+
+# Row r of the next box's states is
 #     c[r] * box[t[r]] + c[6 + r] * box[t[6 + r]] + c[12 + r] * box[t[12 + r]]
 # with t = _LINEAR_TAKE and c = _linear_coefficients(p): the products and sums
 # of step_capital, step_carbon and step_climate, in their order. A two-term
@@ -384,8 +391,9 @@ def _linear_coefficients(p: ModelParams) -> np.ndarray:
 
 
 def _linear_step(box: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Advance the six linear states of a (10, n) box into ``out`` (6, n);
-    ``coefficients`` is ``_linear_coefficients`` repeated to (18, n)."""
+    """Advance the six linear states of a box (rows 0-9 as in ``_HISTORY``)
+    into ``out`` (6, n); ``coefficients`` is ``_linear_coefficients``
+    repeated to (18, n)."""
     terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
     np.add(terms[:6], terms[6:12], out=out)
     return np.add(out, terms[12:], out=out)
@@ -404,13 +412,13 @@ def _policy_terms(genomes: np.ndarray, theta1: np.ndarray, sigma: np.ndarray, p:
 
 
 def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Floor the consumption path in place and return it, once every step's
+    """Return a floored copy of the consumption path, once every step's
     capital, atmospheric carbon and floored consumption is positive.
 
     Otherwise raise for the first step, then check (``_CHECKS`` order), then
     row that fails.
     """
-    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR, out=C))
+    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR))
     failures = []
     for check, path in enumerate(paths):
         ok = path > 0
@@ -424,19 +432,14 @@ def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray) -> np.n
         if not np.isfinite(value):
             message = f"arithmetic overflow: {message}"
         _fail(int(step), int(row[0]) if row else None, message)
-    return C
+    return paths[2]
 
 
-def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
-    """The step loop of one genome, on numpy scalars.
-
-    Returns the checked consumption path, the peak T_AT, and each state and
-    flow.
-    """
+def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
+    """The step loop of one genome, on numpy scalars; returns its history."""
     K, M_AT, M_UP, M_LO, T_AT, T_LO = (
         np.float64(v) for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
-    states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
-    flows, checked, peaks = [], [], [T_AT]
+    history = []
     for i in range(len(kept)):
         Y = gross_output(ex.A[i], K, ex.labour[i], p)
         Omega = damage_factor(T_AT, p)
@@ -444,87 +447,75 @@ def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
         I = s[i] * Q
         E = total_emissions(residual[i], Y, ex.E_Land[i])
         F = radiative_forcing(M_AT, ex.forcing[i], p)
-        C = Q - I
-        checked.append((K, M_AT, C))
+        history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO, I, p.xi2 * E, F, -0.0, Q - I,
+                        Y, Omega, Q, E))
         M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
         T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
         K = step_capital(K, I, p)
-        peaks.append(T_AT)
-        flows.append((Y, Omega, Q, I, C, E, F))
-        states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
-    C = _checked_consumption(*np.reshape(checked, (-1, 3)).T)
-    # one reduction: a per-step np.maximum on numpy scalars costs more
-    return C, np.max(peaks), states, flows
+    history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO) + (math.nan,) * 9)  # no step
+    return np.array(history)
 
 
-def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams):
-    """The step loop of a table, on length-n rows.
+def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
+    """The step loop of a table, on length-n rows; returns its history.
 
-    The linear states advance together in one box (``_linear_step``), written
-    into a pair of buffers in turn, so K and M_AT are copied out for the
-    checks. The kernels read the cached 0-d constants (``_TableConstants``)
-    and the loop zips row views built once per call. Returns the checked
-    consumption path, the peak T_AT, and no states or flows.
+    Step i reads box i of the history and writes its inputs and C there,
+    then ``_linear_step`` advances the linear states into box i + 1. The
+    kernels read the cached 0-d constants (``_TableConstants``), and the
+    loop zips the history's own row views.
     """
     steps, n = kept.shape
     c = ex.table
     coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
-    boxes = np.empty((2, 10, n))
-    boxes[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
-    boxes[:, 9] = -0.0
-    K_M_AT_path = np.empty((steps, 2, n))  # K and M_AT are rows 0 and 1 of a box
-    C_path = np.empty((steps, n))
-    T_max = boxes[0, 4].copy()
-    # per buffer: the buffer, its K and M_AT rows as one view, K, M_AT, T_AT,
-    # its I, xi2 * E and F rows, and the other buffer's six states and T_AT
-    parities = [(box, box[:2], box[0], box[1], box[4], box[6], box[7], box[8], nxt[:6], nxt[4])
-                for box, nxt in (boxes, boxes[::-1])]
-    for kept_i, s_i, residual_i, K_M_AT_i, C_i, (A, labour, E_Land, forcing), (
-            box, K_M_AT, K, M_AT, T_AT, I, xi2_E, F, states, T_AT_next) in zip(
-            kept, s, residual, K_M_AT_path, C_path, c.steps, itertools.cycle(parities)):
-        K_M_AT_i[...] = K_M_AT
+    history = np.empty((steps + 1, 11, n))
+    history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
+    history[:, 9] = -0.0
+    paths = (history[:, r] for r in (0, 1, 4, 6, 7, 8, 10))  # K, M_AT, T_AT, I, xi2 * E, F, C
+    for (kept_i, s_i, residual_i, (A, labour, E_Land, forcing), box, states,
+         K, M_AT, T_AT, I, xi2_E, F, C) in zip(kept, s, residual, c.steps, history,
+                                               history[1:, :6], *paths):
         Y = gross_output(A, K, labour, c)
         Omega = damage_factor(T_AT, c)
         Q = kept_i * Omega * Y
         np.multiply(s_i, Q, out=I)
-        np.subtract(Q, I, out=C_i)
+        np.subtract(Q, I, out=C)
         np.multiply(c.xi2, total_emissions(residual_i, Y, E_Land), out=xi2_E)
         F[...] = radiative_forcing(M_AT, forcing, c)
         _linear_step(box, coefficients, states)
-        np.maximum(T_max, T_AT_next, out=T_max)
-    C = _checked_consumption(K_M_AT_path[:, 0], K_M_AT_path[:, 1], C_path)
-    return C, T_max, [], []
+    return history
 
 
 # Overflow and invalid operations give inf/nan without a warning; the checks
 # after the loop report them.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
-    """Run the closed-loop dynamics for one genome (2H,) or a table (n, 2H).
+    """Run the closed-loop dynamics for one genome (2H,) or a table (n, 2H)
+    and read the objectives from its history (see the module docstring).
 
-    The terms that need no state come first, for every step at once. One
-    genome then steps on numpy scalars and keeps every step; a table steps on
-    length-n rows and advances its linear states as one stacked array (see
-    the module docstring for why). Utility feeds nothing back, so it is
-    evaluated for every step at once after the loop. A capital stock, carbon
-    mass or consumption that is not positive raises ``ModelDomainError``
-    naming the first failing step (and row, for a table); a non-finite one
-    is reported as an arithmetic overflow.
+    Utility feeds nothing back, so it is evaluated for every step at once
+    after the loop. A capital stock, carbon mass or consumption that is not
+    positive raises ``ModelDomainError`` naming the first failing step (and
+    row, for a table); a non-finite one is reported as an arithmetic
+    overflow.
     """
     ex = _exogenous(p)
     shape = genomes.shape[:-1]  # () for one genome, (n,) for a table
     loop = _table_steps if shape else _genome_steps
     theta1, sigma, L, discount = ex.columns if shape else ex.columns[..., 0]
-    C, T_max, states, flows = loop(ex, *_policy_terms(genomes, theta1, sigma, p), p)
+    history = loop(ex, *_policy_terms(genomes, theta1, sigma, p), p)
+    steps = history[:-1]  # K, M_AT and C are columns 0, 1 and 10, T_AT column 4
+    # the history keeps C as computed, so a trajectory shows C = 0 at s = 1
+    C = _checked_consumption(steps[:, 0], steps[:, 1], steps[:, 10])
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
+    T_max = history[:, 4].max(axis=0)
     U = utility(C, L, p)
     # W adds the discounted utilities to 0 step by step, in order, so a row's
     # W does not depend on the rows scored with it
     terms = np.zeros((len(L) + 1,) + shape)
     np.divide(U, discount, out=terms[1:])
     W = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return _Run(W=W, T_max=T_max, states=states, flows=flows, U=U)
+    return _Run(W=W, T_max=T_max, history=history, U=U)
 
 
 def _genome(policy: PolicyMatrix, p: ModelParams) -> np.ndarray:
@@ -545,11 +536,11 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     """
     run = _recursion(_genome(policy, p), p)
     ex = _exogenous(p)
-    states = dict(zip(("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO"), np.array(run.states).T))
+    columns = dict(zip(_HISTORY, run.history.T))
+    states = {name: columns[name] for name in _HISTORY[:6]}
     states.update(L=np.array(ex.L), A=np.array(ex.A), sigma=np.array(ex.sigma),
                   E_Land=np.array(ex.E_Land))
-    derived = dict(zip(("Y", "Omega", "Q", "I", "C", "E", "F"),
-                       np.reshape(run.flows, (-1, 7)).T))
+    derived = {name: columns[name][:-1] for name in ("Y", "Omega", "Q", "I", "C", "E", "F")}
     theta1 = np.array(ex.theta1)
     derived.update(Lambda=abatement_fraction(policy.mu, theta1, p), theta1=theta1, U=run.U)
     return Trajectory(W=float(run.W), T_max=float(run.T_max), states=states,

@@ -21,16 +21,17 @@ Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
 (n, 2) table of (W, T_max). The engine calls it once on the initial
 population and once per generation on all new offspring and mutants
 together, after every draw of that generation; an empty batch is not sent.
-An exception that carries a ``row`` attribute (``ModelDomainError`` from
-``model.evaluate_batch`` does) names that row's genome in the resulting
-``EngineError``; any other names the batch's first genome.
+A failed evaluation raises an ``EngineError`` that names the generation (0
+for the initial population) and the batch row at fault: the ``row`` of an
+exception that carries one (``ModelDomainError`` from
+``model.evaluate_batch`` does), else row 0, or the first row with a
+non-finite objective. It carries that row's genome as ``genome``.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -232,8 +233,9 @@ def initialize_population(
     return np.repeat(rng.random((cfg.population_size, 2)), horizon, axis=1)
 
 
-def _evaluate(genomes: np.ndarray, evaluator: Evaluator) -> np.ndarray:
-    """(n, 2) table of (W, T_max) from one evaluator call on the whole batch."""
+def _evaluate(genomes: np.ndarray, evaluator: Evaluator, generation: int) -> np.ndarray:
+    """(n, 2) table of (W, T_max) from one evaluator call on the whole batch
+    of ``generation``."""
     genomes.flags.writeable = False  # the evaluator gets read-only rows
     if len(genomes) == 0:
         return np.empty((0, 2))
@@ -241,20 +243,21 @@ def _evaluate(genomes: np.ndarray, evaluator: Evaluator) -> np.ndarray:
         objectives = np.asarray(evaluator(genomes), dtype=float)
     except Exception as exc:
         row = getattr(exc, "row", None)
-        raise _evaluation_error(genomes[0 if row is None else row], exc) from exc
+        raise _evaluation_error(genomes, generation, 0 if row is None else row, exc) from exc
     if objectives.shape != (len(genomes), 2):
         raise EngineError(f"evaluator returned shape {objectives.shape} for "
                           f"{len(genomes)} genomes, expected ({len(genomes)}, 2)")
     bad = np.flatnonzero(~np.isfinite(objectives).all(axis=1))
     if len(bad):
-        raise _evaluation_error(
-            genomes[bad[0]], f"non-finite objectives {objectives[bad[0]].tolist()}")
+        raise _evaluation_error(genomes, generation, int(bad[0]),
+                                f"non-finite objectives {objectives[bad[0]].tolist()}")
     return objectives
 
 
-def _evaluation_error(genome: np.ndarray, reason: object) -> EngineError:
-    return EngineError(
-        f"policy evaluation failed for genome {json.dumps(genome.tolist())}: {reason}")
+def _evaluation_error(genomes: np.ndarray, generation: int, row: int,
+                      reason: object) -> EngineError:
+    return EngineError(f"policy evaluation failed in generation {generation}, "
+                       f"batch row {row}: {reason}", genome=genomes[row].copy())
 
 
 def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,18 +301,18 @@ def evolve(
     crowding within the cut front). Deterministic for a fixed seed.
     """
     genomes = initialize_population(cfg, horizon, rng)
-    objectives = _evaluate(genomes, evaluator)
+    objectives = _evaluate(genomes, evaluator, 0)
     rank, crowding = _rank_and_crowd(objectives)
 
     n_offspring = _even_count(cfg.crossover_fraction, cfg.population_size)
     n_mutants = round(cfg.mutant_fraction * cfg.population_size)
-    for _ in range(cfg.max_iterations):
+    for generation in range(1, cfg.max_iterations + 1):
         winners = tournament_select(rank, crowding, rng, n_offspring + n_mutants)
         pairs = crossover(genomes[winners[0:n_offspring:2]],
                           genomes[winners[1:n_offspring:2]], rng)
         children = np.concatenate((*pairs, mutate(genomes[winners[n_offspring:]], rng, cfg)))
         genomes = np.concatenate((genomes, children))
-        objectives = np.concatenate((objectives, _evaluate(children, evaluator)))
+        objectives = np.concatenate((objectives, _evaluate(children, evaluator, generation)))
         rank, crowding = _rank_and_crowd(objectives)
         keep = _survivors(rank, crowding, cfg.population_size)
         genomes, objectives = genomes[keep], objectives[keep]

@@ -1,11 +1,14 @@
 """Independent references for the tests: a high-precision re-derivation of
-the DICE-2016R recursion, Pareto dominance of two objective pairs, and
-brute-force front ranks with front-by-front crowding distance.
+the DICE-2016R recursion, Pareto dominance of two objective pairs,
+brute-force front ranks with front-by-front crowding distance, earlier forms
+of the model's two step loops, and a row-by-row scan that picks
+representatives.
 
-Every constant is restated literally, independent of the params module, and
-the full state recursion advances with mpmath at 40 digits, sharing no code
-with the implementation under test.
-"""
+``resimulate`` restates every constant literally, independent of the params
+module, and advances the full state recursion with mpmath at 40 digits,
+sharing no code with the implementation under test. The step-loop
+references share the model's kernels and differ from its loops only in
+their bookkeeping."""
 
 from __future__ import annotations
 
@@ -146,34 +149,116 @@ def _front_crowding(objectives):
 def table_steps_reference(ex, kept, s, residual, p):
     """The table step loop before its constants became cached 0-d arrays:
     every kernel reads Python-float parameters from ``p`` and the step's
-    exogenous terms from the cached tuples, each row is indexed per step,
-    and K and M_AT are copied out separately. A drop-in for
-    ``model._table_steps``."""
-    from dice_pareto.model import (_LINEAR_TAKE, _checked_consumption, _linear_coefficients,
-                                   damage_factor, gross_output, radiative_forcing,
-                                   total_emissions)
+    exogenous terms from the cached tuples, and each box of the history is
+    indexed per step. A drop-in for ``model._table_steps``: returns the
+    (steps + 1, 11, n) history."""
+    from dice_pareto.model import (_LINEAR_TAKE, _linear_coefficients, damage_factor,
+                                   gross_output, radiative_forcing, total_emissions)
 
     steps, n = kept.shape
     coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
-    boxes = np.empty((2, 10, n))
-    boxes[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
-    boxes[:, 9] = -0.0
-    K_path, M_AT_path, C_path = (np.empty((steps, n)) for _ in range(3))
-    T_max = boxes[0, 4].copy()
+    history = np.empty((steps + 1, 11, n))
+    history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
+    history[:, 9] = -0.0
     for i in range(steps):
-        box, nxt = boxes[i % 2], boxes[1 - i % 2]
+        box = history[i]
         K, M_AT, T_AT = box[0], box[1], box[4]
-        K_path[i], M_AT_path[i] = K, M_AT
         Y = gross_output(ex.A[i], K, ex.labour[i], p)
         Omega = damage_factor(T_AT, p)
         Q = kept[i] * Omega * Y
         I = np.multiply(s[i], Q, out=box[6])
-        np.subtract(Q, I, out=C_path[i])
+        np.subtract(Q, I, out=box[10])
         np.multiply(p.xi2, total_emissions(residual[i], Y, ex.E_Land[i]), out=box[7])
         box[8] = radiative_forcing(M_AT, ex.forcing[i], p)
         terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
-        out = nxt[:6]
+        out = history[i + 1, :6]
         np.add(terms[:6], terms[6:12], out=out)
         np.add(out, terms[12:], out=out)
-        np.maximum(T_max, out[4], out=T_max)
-    return _checked_consumption(K_path, M_AT_path, C_path), T_max, [], []
+    return history
+
+
+def genome_steps_reference(ex, kept, s, residual, p):
+    """The step loop of one genome before it kept a run history: states,
+    flows, the checked values and the peaks each go to a list, the checks run
+    on the checked list and the peak is one reduction over the peaks list.
+    Returns the checked consumption path, T_max, the states and the flows."""
+    from dice_pareto.model import (_checked_consumption, damage_factor, gross_output,
+                                   radiative_forcing, step_capital, step_carbon, step_climate,
+                                   total_emissions)
+
+    K, M_AT, M_UP, M_LO, T_AT, T_LO = (
+        np.float64(v) for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
+    states = [(K, M_AT, M_UP, M_LO, T_AT, T_LO)]
+    flows, checked, peaks = [], [], [T_AT]
+    for i in range(len(kept)):
+        Y = gross_output(ex.A[i], K, ex.labour[i], p)
+        Omega = damage_factor(T_AT, p)
+        Q = kept[i] * Omega * Y
+        I = s[i] * Q
+        E = total_emissions(residual[i], Y, ex.E_Land[i])
+        F = radiative_forcing(M_AT, ex.forcing[i], p)
+        C = Q - I
+        checked.append((K, M_AT, C))
+        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
+        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
+        K = step_capital(K, I, p)
+        peaks.append(T_AT)
+        flows.append((Y, Omega, Q, I, C, E, F))
+        states.append((K, M_AT, M_UP, M_LO, T_AT, T_LO))
+    C = _checked_consumption(*np.reshape(checked, (-1, 3)).T)
+    return C, np.max(peaks), states, flows
+
+
+def simulate_reference(policy, p):
+    """``model.simulate`` as it was built on ``genome_steps_reference``:
+    returns W, T_max and a dict of every trajectory column, or raises the
+    same ``ModelDomainError``."""
+    from dice_pareto.model import (_exogenous, _fail, _policy_terms, abatement_fraction,
+                                   utility)
+
+    ex = _exogenous(p)
+    theta1, sigma, L, discount = ex.columns[..., 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        C, T_max, states, flows = genome_steps_reference(
+            ex, *_policy_terms(policy.to_genome(), theta1, sigma, p), p)
+        if ex.failure is not None:
+            _fail(len(ex.L) - 1, None, ex.failure)
+        U = utility(C, L, p)
+        terms = np.zeros(len(L) + 1)
+        np.divide(U, discount, out=terms[1:])
+        W = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    columns = dict(zip(("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO"), np.array(states).T))
+    columns.update(L=np.array(ex.L), A=np.array(ex.A), sigma=np.array(ex.sigma),
+                   E_Land=np.array(ex.E_Land))
+    columns.update(zip(("Y", "Omega", "Q", "I", "C", "E", "F"), np.reshape(flows, (-1, 7)).T))
+    theta1 = np.array(ex.theta1)
+    columns.update(Lambda=abatement_fraction(policy.mu, theta1, p), theta1=theta1, U=U)
+    return float(W), float(T_max), columns
+
+
+def select_representatives_reference(archive, k):
+    """``harness.select_representatives`` as a scan over the archive: each
+    target takes the not-yet-chosen row with the least key (distance to the
+    target, -W, row)."""
+    from dice_pareto.harness import _labels
+
+    n = len(archive)
+    if n <= k:
+        return list(zip(_labels(n), reversed(range(n))))
+    w = archive.objectives[:, 0]
+    t = archive.objectives[:, 1]
+    taken: set[int] = set()
+    chosen = []
+    for target in np.linspace(t[-1], t[0], k):
+        best_idx = None
+        best_key = None
+        for idx in range(n):
+            if idx in taken:
+                continue
+            key = (abs(t[idx] - target), -w[idx], idx)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_idx = idx
+        taken.add(best_idx)
+        chosen.append(best_idx)
+    return list(zip(_labels(k), chosen))

@@ -240,6 +240,19 @@ class TestOptimize:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_engine_failure_is_one_short_line(self, tmp_path, capsys):
+        # the line names the generation and rows, not the failing genome's
+        # 2H genes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"ell_g": 1e6}}))
+        out = tmp_path / "out"
+        assert run_cli("optimize", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("runtime error: policy evaluation failed in generation 0, batch row 0: "
+                       "step 0, row 0: arithmetic overflow in the population\n")
+        assert len(err) <= 160
+        assert not out.exists()
+
     def test_population_override_is_validated_before_any_output(self, tmp_path,
                                                                 tiny_cfg, capsys):
         out = tmp_path / "bad"

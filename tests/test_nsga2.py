@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from oracle import dominates, rank_and_crowd
@@ -423,14 +421,15 @@ class TestEvolve:
         assert all(a >= b for a, b in zip(best_t, best_t[1:]))
         assert all(a <= b for a, b in zip(best_w, best_w[1:]))
 
-    def test_evaluator_failure_serializes_offending_genome(self):
+    def test_evaluator_failure_carries_offending_genome(self):
         def broken(genomes):
             raise ValueError("boom")
 
         cfg = _small_cfg(max_iterations=0)
-        with pytest.raises(EngineError, match=r"\[0\.") as exc_info:
+        genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))
+        with pytest.raises(EngineError, match="generation 0, batch row 0: boom") as exc_info:
             evolve(cfg, broken, SMALL_MODEL.H, np.random.default_rng(3))
-        assert "boom" in str(exc_info.value)
+        assert exc_info.value.genome.tobytes() == genomes[0].tobytes()
 
     def test_failing_row_names_its_genome(self):
         def fails_at_row_5(genomes):
@@ -440,7 +439,23 @@ class TestEvolve:
         genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))
         with pytest.raises(EngineError, match="row 5: boom") as exc_info:
             evolve(cfg, fails_at_row_5, SMALL_MODEL.H, np.random.default_rng(3))
-        assert json.dumps(genomes[5].tolist()) in str(exc_info.value)
+        assert "generation 0, batch row 5: " in str(exc_info.value)
+        assert exc_info.value.genome.tobytes() == genomes[5].tobytes()
+
+    def test_failure_names_its_generation_and_batch_row(self):
+        batches = []
+
+        def fails_in_generation_2(genomes):
+            batches.append(genomes.copy())
+            if len(batches) == 3:
+                raise ModelDomainError("step 0, row 1: boom", row=1)
+            return _small_evaluator(genomes)
+
+        with pytest.raises(EngineError) as exc_info:
+            evolve(_small_cfg(), fails_in_generation_2, SMALL_MODEL.H, np.random.default_rng(3))
+        assert str(exc_info.value) == (
+            "policy evaluation failed in generation 2, batch row 1: step 0, row 1: boom")
+        assert exc_info.value.genome.tobytes() == batches[2][1].tobytes()
 
     def test_model_domain_error_names_the_first_failing_policy(self):
         # a high backstop price makes theta1 > 1, so abatement costs exceed
@@ -455,7 +470,8 @@ class TestEvolve:
         with pytest.raises(EngineError, match="gross output needs positive capital") as exc_info:
             evolve(cfg, evaluator, model.H, np.random.default_rng(3))
         row = exc_info.value.__cause__.row
-        assert json.dumps(genomes[row].tolist()) in str(exc_info.value)
+        assert f"generation 0, batch row {row}: " in str(exc_info.value)
+        assert exc_info.value.genome.tobytes() == genomes[row].tobytes()
         # the scalar path agrees: earlier rows score, this one fails
         for genome in genomes[:row]:
             evaluate_policy(PolicyMatrix.from_genome(genome), model)
@@ -484,7 +500,8 @@ class TestEvolve:
 
         cfg = _small_cfg()
         genomes = initialize_population(cfg, SMALL_MODEL.H, np.random.default_rng(3))
-        first_bad = genomes[np.flatnonzero(genomes[:, 0] > 0.5)[0]]
+        row = np.flatnonzero(genomes[:, 0] > 0.5)[0]
         with pytest.raises(EngineError, match="non-finite objectives") as exc_info:
             evolve(cfg, nan_for_high_mitigation, SMALL_MODEL.H, np.random.default_rng(3))
-        assert json.dumps(first_bad.tolist()) in str(exc_info.value)
+        assert f"generation 0, batch row {row}: " in str(exc_info.value)
+        assert exc_info.value.genome.tobytes() == genomes[row].tobytes()

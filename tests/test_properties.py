@@ -1,10 +1,13 @@
-"""Property-based checks of the model recursion, the front sort, crowding and
-front files.
+"""Property-based checks of the model recursion, the front sort, crowding,
+representatives and front files.
 
 Each ``evaluate_batch`` row is checked against the single-policy
-``evaluate_policy``, and both against the 40-digit ``oracle.resimulate``; a
-brute-force dominance scan is the reference for ``non_dominated_sort``, and
-crowding each front on its own is the reference for the one-pass crowding.
+``evaluate_policy``, and both against the 40-digit ``oracle.resimulate``;
+each step loop is checked bit for bit against an earlier form of it in
+``oracle``; a brute-force dominance scan is the reference for
+``non_dominated_sort``, crowding each front on its own is the reference for
+the one-pass crowding, and a row-by-row scan is the reference for
+``select_representatives``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import brute_force_rank, crowding_by_front, resimulate, table_steps_reference
+from oracle import (
+    brute_force_rank,
+    crowding_by_front,
+    resimulate,
+    select_representatives_reference,
+    simulate_reference,
+    table_steps_reference,
+)
 from test_dynamics import DISTINCT
 
 from dice_pareto import (
@@ -35,7 +45,7 @@ from dice_pareto import (
     simulate,
 )
 from dice_pareto import model
-from dice_pareto.harness import format_front_csv
+from dice_pareto.harness import format_front_csv, select_representatives
 from dice_pareto.model import _CHECKS, CONSUMPTION_FLOOR, _checked_consumption, discount_factor
 from dice_pareto.nsga2 import _rank_and_crowd
 
@@ -138,13 +148,20 @@ def test_any_contiguous_slice_scores_as_in_the_whole_batch(drawn):
     assert_rows_as_in_whole(offset, size)
 
 
+# T_AT runs +0.0, -0.0, +0.0, ... and ends on -0.0, whatever the policy: no
+# forcing reaches it (xi1 = 0, and xi1 * F is -0.0 since F < 0), T_LO stays
+# negative so phi12 * T_LO is -0.0, and phi11 < 0 flips the sign of its zero
+SIGNED_ZERO_T_AT = ModelParams(T_AT0=0.0, T_LO0=-1.0, xi1=0.0, phi11=-0.5, phi12=0.0,
+                               phi21=0.0, f0=-20.0, f1=-20.0)
+
 # gamma = 0.5 and 2 take numpy's sqrt and square fast paths for K ** gamma;
 # psi1 = 0 is the default; p_b = 20000, zeta11 = -1 and gamma = 1.5 make rows
-# fail in K, M_AT and C; rho = 1000 stops the exogenous paths at step 21
+# fail in K, M_AT and C; rho = 1000 stops the exogenous paths at step 21; in
+# SIGNED_ZERO_T_AT the peak is a tie of +0.0 and -0.0
 TABLE_LOOP_CALIBRATIONS = [ModelParams(), ModelParams(gamma=0.5), ModelParams(gamma=2.0),
                            ModelParams(psi1=0.05), DISTINCT, ModelParams(p_b=20000.0),
                            ModelParams(zeta11=-1.0), ModelParams(gamma=1.5),
-                           ModelParams(rho=1000.0)]
+                           ModelParams(rho=1000.0), SIGNED_ZERO_T_AT]
 
 
 def batch_outcome(genomes, p):
@@ -162,6 +179,45 @@ def test_table_loop_matches_its_reference(p, n, seed):
     with mock.patch.object(model, "_table_steps", table_steps_reference):
         want = batch_outcome(genomes, p)
     assert batch_outcome(genomes, p) == want
+
+
+def as_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(TABLE_LOOP_CALIBRATIONS), st.integers(0, 2**32 - 1))
+def test_genome_loop_matches_its_reference(p, seed):
+    policy = PolicyMatrix.from_genome(np.random.default_rng(seed).uniform(-0.5, 1.5, 2 * p.H))
+    try:
+        W, T_max, columns = simulate_reference(policy, p)
+    except ModelDomainError as exc:
+        for run in (simulate, evaluate_policy):
+            with pytest.raises(ModelDomainError) as got:
+                run(policy, p)
+            assert (str(got.value), got.value.row) == (str(exc), None)
+        return
+    traj = simulate(policy, p)
+    assert as_bytes(traj.W, traj.T_max) == as_bytes(W, T_max)
+    assert as_bytes(*evaluate_policy(policy, p)) == as_bytes(W, T_max)
+    got = {**traj.states, **traj.derived}
+    assert list(got) == list(columns)
+    for name, column in columns.items():
+        assert got[name].tobytes() == column.tobytes(), name
+
+
+def test_signed_zero_peak_is_the_last_of_its_ties():
+    # a step-by-step maximum keeps the later of two equal values, so the
+    # peak of +0.0, -0.0, ..., -0.0 is -0.0 on either rank
+    p = SIGNED_ZERO_T_AT
+    genomes = np.random.default_rng(5).random((7, 2 * p.H))
+    policy = PolicyMatrix.from_genome(genomes[0])
+    T_AT = simulate(policy, p).states["T_AT"]
+    assert (T_AT == 0).all()
+    assert np.signbit(T_AT).tolist() == [i % 2 == 1 for i in range(p.H + 1)]
+    assert np.signbit(evaluate_policy(policy, p).T_max)
+    peaks = evaluate_batch(genomes, p)[:, 1]
+    assert (peaks == 0).all() and np.signbit(peaks).all()
 
 
 def first_failure(K, M_AT, C):
@@ -267,3 +323,21 @@ def test_front_file_round_trips_exactly(archive):
         loaded = load_front(path)
     assert loaded.objectives.tobytes() == archive.objectives.tobytes()
     assert loaded.genomes.tobytes() == archive.genomes.tobytes()
+
+
+@st.composite
+def sorted_archives(draw):
+    """Archives in ``load_front``'s order, half of them on an integer grid
+    where ties in T_max, in W and in the distance to a target are common."""
+    n = draw(st.integers(1, 40))
+    values = draw(st.sampled_from([st.integers(0, 6).map(float),
+                                   st.floats(-1e3, 1e3, allow_nan=False)]))
+    objectives = draw(arrays(float, (n, 2), elements=values))
+    objectives = objectives[np.lexsort((-objectives[:, 0], objectives[:, 1]))]
+    return FrontArchive(genomes=np.empty((n, 0)), objectives=objectives)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_archives(), st.integers(2, 12))
+def test_representatives_match_the_row_by_row_scan(archive, k):
+    assert select_representatives(archive, k) == select_representatives_reference(archive, k)
