@@ -28,20 +28,24 @@ kernels below take floats or arrays alike and never raise.
   (``cli simulate``, representatives); ``simulate`` names the history's
   columns in a ``Trajectory``.
 * An (n, 2H) table steps on length-n rows and writes step i's (11, n) box
-  into row i of one (H+1, 11, n) history: (H+1) * 11 * n * 8 bytes, 200,640
-  at n = 60 and 668,800 at n = 200. Its six linear states (K, M_AT, M_UP,
-  M_LO, T_AT, T_LO) advance as one stacked array whose rows are the products
-  and sums of ``step_capital``, ``step_carbon`` and ``step_climate`` in their
-  order, so the stacked step gives bit for bit what those kernels give on
-  the same rows. ``evaluate_batch`` runs it on the whole population, once
-  per generation.
+  into row i of one (H+1, 11, n) history. Its six linear states (K, M_AT,
+  M_UP, M_LO, T_AT, T_LO) advance as one stacked array whose rows are the
+  products and sums of ``step_capital``, ``step_carbon`` and
+  ``step_climate`` in their order, so the stacked step gives bit for bit
+  what those kernels give on the same rows. ``evaluate_batch`` runs it on
+  the whole population, once per generation. The history and every other
+  array the loop writes live in a workspace (``_Workspace``) built on the
+  first call for a ``ModelParams`` and width n and reused by later calls:
+  4568 * n bytes for the 37-step horizon, 274,080 at n = 60 and 913,600 at
+  n = 200.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
 operation on numpy scalars costs about 0.2 us and one on a short array about
-1 us, whatever its length. A table's step makes 25 array calls (46 before
-the stacking). An array call with a Python-float operand pays for numpy 2's
+1 us, whatever its length. A table's step makes 22 array calls (46 before
+the stacking, 25 before the workspace), each writing through a prebuilt view
+with ``out``. An array call with a Python-float operand pays for numpy 2's
 weak-scalar conversion (about 0.75 against 0.48 us with a 0-d array operand
-at n = 60), so a table's kernels read cached 0-d constants. One genome keeps
+at n = 60), so a table's step reads cached 0-d constants. One genome keeps
 the scalar kernels: run as a one-row table it took 1.28 ms against 0.33 ms
 on numpy scalars. The policy-independent paths (population, TFP, emission
 intensity, land-use emissions, and the per-step terms built from them) come
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
@@ -260,17 +265,18 @@ def discount_factor(i: int, p: ModelParams) -> float:
 
 
 class _TableConstants(NamedTuple):
-    """The constants of a table's step as read-only 0-d arrays, which the
-    kernels read in place of ``ModelParams``' floats. 0-d, not rows: numpy's
-    sqrt, square and reciprocal fast paths for ``K ** gamma`` hold for a 0-d
-    exponent but not for a row, so the bits stay those of a float."""
+    """The constants of a table's step as read-only arrays, which its step
+    reads in place of ``ModelParams``' floats: 0-d, except the (2, 1) column
+    of the two damage coefficients, which multiplies T_AT into two rows at
+    once. A 0-d operand skips numpy 2's weak-scalar conversion of a float and
+    rounds alike."""
 
     gamma: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
+    psi: np.ndarray  # (2, 1): psi1 and psi2
     F_2x: np.ndarray
     M_AT_1750: np.ndarray
     xi2: np.ndarray
+    one: np.ndarray
     steps: tuple[tuple[np.ndarray, ...], ...]  # (A, labour, E_Land, forcing) of each step
 
 
@@ -335,7 +341,7 @@ def _exogenous(p: ModelParams) -> _Exogenous:
     theta1, labour, forcing, discount = tuple(zip(*terms)) or ((),) * 4
     steps = len(terms)
     table = _TableConstants(
-        *map(_read_only, (p.gamma, p.psi1, p.psi2, p.F_2x, p.M_AT_1750, p.xi2)),
+        *map(_read_only, (p.gamma, [[p.psi1], [p.psi2]], p.F_2x, p.M_AT_1750, p.xi2, 1.0)),
         steps=tuple(zip(*(map(_read_only, path[:steps]) for path in (A, labour, E_Land, forcing)))))
     return _Exogenous(
         L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=theta1,
@@ -390,13 +396,23 @@ def _linear_coefficients(p: ModelParams) -> np.ndarray:
                      0.0, p.dt, p.zeta23, 0.0, p.xi1, 0.0])
 
 
-def _linear_step(box: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _linear_parts(p: ModelParams, n: int) -> tuple[np.ndarray, ...]:
+    """What ``_linear_step`` reads for n rows: ``_linear_coefficients``
+    repeated to (18, n), an (18, n) buffer for the terms, and that buffer's
+    three (6, n) parts."""
+    terms = np.empty((18, n))
+    return (np.repeat(_linear_coefficients(p)[:, None], n, axis=1), terms,
+            terms[:6], terms[6:12], terms[12:])
+
+
+def _linear_step(box: np.ndarray, parts: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """Advance the six linear states of a box (rows 0-9 as in ``_HISTORY``)
-    into ``out`` (6, n); ``coefficients`` is ``_linear_coefficients``
-    repeated to (18, n)."""
-    terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
-    np.add(terms[:6], terms[6:12], out=out)
-    return np.add(out, terms[12:], out=out)
+    into ``out`` (6, n); ``parts`` is ``_linear_parts`` for the same n."""
+    coefficients, terms, head, middle, tail = parts
+    box.take(_LINEAR_TAKE, 0, terms, "clip")  # "clip": an unbuffered take
+    np.multiply(coefficients, terms, terms)
+    np.add(head, middle, out)
+    return np.add(out, tail, out)
 
 
 def _policy_terms(genomes: np.ndarray, theta1: np.ndarray, sigma: np.ndarray, p: ModelParams):
@@ -456,33 +472,99 @@ def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarr
     return np.array(history)
 
 
-def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
-    """The step loop of a table, on length-n rows; returns its history.
+class _Workspace(NamedTuple):
+    """What a table's step loop writes for one ``ModelParams`` and width n.
 
-    Step i reads box i of the history and writes its inputs and C there,
-    then ``_linear_step`` advances the linear states into box i + 1. The
-    kernels read the cached 0-d constants (``_TableConstants``), and the
-    loop zips the history's own row views.
+    Built on the first call for that pair and reused by every later call, so
+    a warm call allocates no history and makes no views. Row 0's initial
+    states and the -0.0 of column 9 are written once; every other value the
+    loop reads it has written earlier in the same call.
     """
-    steps, n = kept.shape
-    c = ex.table
-    coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
+
+    exogenous: _Exogenous  # the key holds its id, so the workspace keeps it alive
+    history: np.ndarray    # (steps + 1, 11, n), see ``_HISTORY``
+    policy: np.ndarray     # (steps, 3, n): kept share, residual intensity, s
+    scratch: tuple[np.ndarray, ...]
+    linear: tuple[np.ndarray, ...]  # ``_linear_parts``
+    steps: tuple[tuple[np.ndarray, ...], ...]
+
+
+# At most this many workspaces are kept, the oldest dropped first. A key
+# names its thread, so two threads never share a workspace.
+_MAX_WORKSPACES = 8
+_WORKSPACES: dict[tuple[int, int, int], _Workspace] = {}
+_WORKSPACES_LOCK = threading.Lock()
+
+
+def _workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
+    """The calling thread's workspace for the parameters of ``ex`` and width n."""
+    key = (id(ex), n, threading.get_ident())
+    ws = _WORKSPACES.get(key)
+    if ws is None:
+        ws = _build_workspace(ex, p, n)
+        with _WORKSPACES_LOCK:
+            while len(_WORKSPACES) >= _MAX_WORKSPACES:
+                del _WORKSPACES[next(iter(_WORKSPACES))]
+            _WORKSPACES[key] = ws
+    return ws
+
+
+def _build_workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
+    steps = len(ex.theta1)
     history = np.empty((steps + 1, 11, n))
     history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
     history[:, 9] = -0.0
+    policy = np.empty((steps, 3, n))
+    # Omega, Y, kept * Omega (then Q), residual * Y, psi1 * T_AT, psi2 * T_AT
+    scratch = np.empty((6, n))
+    views = (scratch[:2], scratch[2:4], scratch[4:], *scratch)
     paths = (history[:, r] for r in (0, 1, 4, 6, 7, 8, 10))  # K, M_AT, T_AT, I, xi2 * E, F, C
-    for (kept_i, s_i, residual_i, (A, labour, E_Land, forcing), box, states,
-         K, M_AT, T_AT, I, xi2_E, F, C) in zip(kept, s, residual, c.steps, history,
-                                               history[1:, :6], *paths):
-        Y = gross_output(A, K, labour, c)
-        Omega = damage_factor(T_AT, c)
-        Q = kept_i * Omega * Y
-        np.multiply(s_i, Q, out=I)
-        np.subtract(Q, I, out=C)
-        np.multiply(c.xi2, total_emissions(residual_i, Y, E_Land), out=xi2_E)
-        F[...] = radiative_forcing(M_AT, forcing, c)
-        _linear_step(box, coefficients, states)
-    return history
+    return _Workspace(
+        exogenous=ex, history=history, policy=policy, scratch=views,
+        linear=_linear_parts(p, n),
+        steps=tuple(zip(ex.table.steps, history, policy[:, :2], policy[:, 2], history[1:, :6],
+                        *paths)))
+
+
+def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
+    """The step loop of a table, on length-n rows; returns its history, which
+    is the calling thread's workspace (``_Workspace``) and is overwritten by
+    its next call at the same width.
+
+    Step i reads box i of the history and writes its inputs and C there,
+    then ``_linear_step`` advances the linear states into box i + 1. Each
+    kernel's operations run in its order on the same operands, written
+    through the workspace's views with ``out``, so the values are those of
+    the kernels bit for bit. The products kept * Omega and residual * Y are
+    one call on two stacked rows, and so are psi1 * T_AT and psi2 * T_AT.
+    """
+    ws = _workspace(ex, p, kept.shape[1])
+    np.stack((kept, residual, s), axis=1, out=ws.policy)
+    gamma, psi, F_2x, M_AT_1750, xi2, one, _ = ex.table
+    omega_y, products, damage, Omega, Y, Q, residual_Y, psi1_T, psi2_T = ws.scratch
+    linear = ws.linear
+    for ((A, labour, E_Land, forcing), box, pair, s_i, states,
+         K, M_AT, T_AT, I, xi2_E, F, C) in ws.steps:
+        np.power(K, gamma, Y)  # gross_output
+        np.multiply(A, Y, Y)
+        np.multiply(Y, labour, Y)
+        np.multiply(psi, T_AT, damage)  # damage_factor
+        np.add(one, psi1_T, psi1_T)
+        np.multiply(psi2_T, T_AT, psi2_T)
+        np.add(psi1_T, psi2_T, Omega)
+        np.divide(one, Omega, Omega)
+        np.multiply(pair, omega_y, products)  # kept * Omega and residual * Y
+        np.multiply(Q, Y, Q)
+        np.multiply(s_i, Q, I)
+        np.subtract(Q, I, C)
+        np.add(residual_Y, E_Land, xi2_E)  # total_emissions, then times xi2
+        np.multiply(xi2, xi2_E, xi2_E)
+        np.divide(M_AT, M_AT_1750, F)  # radiative_forcing
+        np.log2(F, F)
+        np.multiply(F_2x, F, F)
+        np.add(F, forcing, F)
+        _linear_step(box, linear, states)
+    return ws.history
 
 
 # Overflow and invalid operations give inf/nan without a warning; the checks

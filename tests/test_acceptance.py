@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
 Criterion 2's full desk-scale profile (population 200, 1000 iterations,
-roughly two minutes) runs when DICE_PARETO_ACCEPT_FULL=1 is set; the reduced
-CI profile always runs. Everything else is fast and always on.
+about 3 seconds on a 2-core VM) runs when DICE_PARETO_ACCEPT_FULL=1 is set;
+the reduced CI profile always runs. Everything else is fast and always on.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def test_criterion_2_front_extremes_ci_profile(ci_front):
 
 
 @pytest.mark.skipif(not FULL_SCALE, reason="set DICE_PARETO_ACCEPT_FULL=1 to run "
-                                           "the ~2 minute desk-scale profile")
+                                           "the desk-scale profile (about 3 s)")
 def test_criterion_2_front_extremes_full_profile():
     cfg = EngineConfig(rng_seed=1)  # population 200, 1000 iterations, 3% / 0.1
     started = time.perf_counter()

@@ -37,7 +37,7 @@ from dice_pareto.model import (
     total_emissions,
     utility,
 )
-from dice_pareto.model import _linear_coefficients, _linear_step
+from dice_pareto.model import _linear_parts, _linear_step
 
 mp.dps = 40
 
@@ -321,8 +321,7 @@ def assert_stacked_step_matches_kernels(drawn, p):
     with np.errstate(all="ignore"):
         box[:9] = K, M_AT, M_UP, M_LO, T_AT, T_LO, I, p.xi2 * E, F
         box[9] = -0.0
-        got = _linear_step(box, np.repeat(_linear_coefficients(p)[:, None], n, axis=1),
-                           np.empty((6, n)))
+        got = _linear_step(box, _linear_parts(p, n), np.empty((6, n)))
         want = np.array([step_capital(K, I, p), *step_carbon(M_AT, M_UP, M_LO, E, p),
                          *step_climate(T_AT, T_LO, F, p)])
     assert np.array_equal(got, want, equal_nan=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import dominates, rank_and_crowd
 
 import dice_pareto
@@ -24,6 +26,13 @@ from dice_pareto import (
     mutate,
     non_dominated_sort,
     tournament_select,
+)
+from dice_pareto.nsga2 import (
+    _first_front,
+    _next_population,
+    _rank_and_crowd,
+    _survivors,
+    _visit_order,
 )
 
 
@@ -132,6 +141,90 @@ def test_non_finite_objective_names_its_row(function, column, value):
     objectives[3, column] = value
     with pytest.raises(EngineError, match="row 2: objectives must be finite"):
         function(objectives)
+
+
+# a coarse grid with both signed zeros, so equal values and equal rows are common
+GRID = [k / 2 for k in range(-10, 11)] + [-0.0]
+OFFSETS = [0.0, 0.5, 1.0]
+
+
+@st.composite
+def merged_populations(draw):
+    """A merged population of 2N rows of (W, T_max) and N: a front 1 of
+    N - 1, N or N + 1 rows (or any size) on a staircase of distinct points,
+    some repeated into chains of equal rows, and 2N - |front 1| rows each
+    dominated by a point of that staircase, all shuffled."""
+    N = draw(st.sampled_from([4, 6, 10]))
+    size = draw(st.sampled_from([N - 1, N, N + 1]) | st.integers(1, 2 * N))
+    distinct = draw(st.integers(1, size))
+    # W and T_max both descending along the staircase: no point dominates another
+    points = [sorted(draw(st.lists(st.sampled_from(GRID), min_size=distinct,
+                                   max_size=distinct, unique=True)), reverse=True)
+              for _ in range(2)]
+    staircase = list(zip(*points))
+    extra = draw(st.lists(st.integers(0, distinct - 1), min_size=size - distinct,
+                          max_size=size - distinct))
+    rows = staircase + [staircase[k] for k in extra]
+    for _ in range(2 * N - size):
+        w, t = staircase[draw(st.integers(0, distinct - 1))]
+        a, b = draw(st.sampled_from(OFFSETS)), draw(st.sampled_from(OFFSETS))
+        rows.append((w - a, t + b + (0.5 if a == b == 0.0 else 0.0)))
+    order = draw(st.permutations(range(2 * N)))
+    return np.array(rows)[order], N, size
+
+
+def full_ranking_survivors(objectives, target, rank_and_crowd=_rank_and_crowd):
+    """Survivors, rank and crowding from ranking and crowding every row."""
+    rank, crowding = rank_and_crowd(objectives)
+    keep = _survivors(rank, crowding, target)
+    return keep, rank[keep], crowding[keep]
+
+
+def assert_same_survivors(objectives, target):
+    want = full_ranking_survivors(objectives, target)
+    got = _next_population(objectives, target)
+    assert got[0].tolist() == want[0].tolist()  # the same rows in the same order
+    assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+class TestSurvivorShortcut:
+    """A generation whose merged front 1 fills the population crowds and cuts
+    only front 1; it must keep what ranking every row keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(merged_populations())
+    def test_matches_the_full_ranking(self, drawn):
+        objectives, N, size = drawn
+        rank = non_dominated_sort(objectives)
+        assert np.count_nonzero(rank == 1) == size
+        first = _first_front(objectives, _visit_order(objectives))
+        assert first.tolist() == np.flatnonzero(rank == 1).tolist()
+        assert_same_survivors(objectives, N)
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_front_one_of_n_minus_one_n_and_n_plus_one(self, size):
+        # N = 4; front 1 is a chain of three equal rows plus size - 3 more
+        front = [(2.0, 2.0)] * 3 + [(1.0, 1.0), (0.0, 0.0)][:size - 3]
+        dominated = [(1.0, 2.0), (2.0, 2.5), (-1.0, 3.0), (1.0, 2.0), (1.5, 2.5)]
+        objectives = np.array(front + dominated[:8 - size])[[7, 0, 5, 2, 4, 1, 6, 3]]
+        assert np.count_nonzero(non_dominated_sort(objectives) == 1) == size
+        assert_same_survivors(objectives, 4)
+
+    def test_a_chain_takes_the_front_of_its_first_row(self):
+        # rows 1, 3, 4 are equal and in front 1; rows 0, 2, 5 are equal and
+        # dominated by row 6, whose T_max they share
+        objectives = min_rows((-1, 2), (-3, 1), (-1, 2), (-3, 1), (-3, 1), (-1, 2), (-4, 2))
+        first = _first_front(objectives, _visit_order(objectives))
+        assert first.tolist() == [1, 3, 4, 6]
+
+    def test_a_front_one_that_fits_exactly_keeps_row_order(self):
+        # crowding would put the boundary rows 0 and 3 first
+        objectives = min_rows((0, 3), (1, 2), (2, 1), (3, 0), (1, 3), (2, 3), (3, 3), (4, 4))
+        keep, rank, crowding = _next_population(objectives, 4)
+        assert keep.tolist() == [0, 1, 2, 3]
+        assert rank.tolist() == [1] * 4
+        assert np.isinf(crowding[[0, 3]]).all() and np.isfinite(crowding[[1, 2]]).all()
 
 
 class TestTournament:
@@ -368,6 +461,20 @@ class TestEvolve:
         # the initial ranking, then one of each per generation
         assert calls == ranking + (variation + ranking) * 3
 
+    def test_a_filled_front_one_skips_the_ranking(self, monkeypatch):
+        import dice_pareto.nsga2 as engine
+
+        calls = []
+        for name in ("non_dominated_sort", "crowding_distance"):
+            def counted(*args, _name=name, _op=getattr(engine, name)):
+                calls.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(engine, name, counted)
+        # every row scores alike, so the merged front 1 holds all 2N rows
+        evolve(_small_cfg(max_iterations=3), lambda genomes: np.zeros((len(genomes), 2)),
+               SMALL_MODEL.H, np.random.default_rng(3))
+        assert calls == ["non_dominated_sort"] + ["crowding_distance"] * 4
+
     def test_phase_functions_stay_public(self):
         # the benchmark's tracer times the engine's phases by these names
         assert {"non_dominated_sort", "crowding_distance", "tournament_select", "crossover",
@@ -380,6 +487,8 @@ class TestEvolve:
         cfg = _small_cfg(max_iterations=20, rng_seed=seed)
         swept = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
+        monkeypatch.setattr(engine, "_next_population", lambda objectives, target:
+                            full_ranking_survivors(objectives, target, rank_and_crowd))
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         assert np.array_equal(swept.genomes, reference.genomes)
         assert np.array_equal(swept.objectives, reference.objectives)

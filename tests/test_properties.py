@@ -13,7 +13,10 @@ the one-pass crowding, and a row-by-row scan is the reference for
 from __future__ import annotations
 
 import functools
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -172,13 +175,75 @@ def batch_outcome(genomes, p):
         return str(exc), exc.row
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(TABLE_LOOP_CALIBRATIONS), st.integers(1, 80), st.integers(0, 2**32 - 1))
-def test_table_loop_matches_its_reference(p, n, seed):
-    genomes = np.random.default_rng(seed).uniform(-0.5, 1.5, (n, 2 * p.H))
-    with mock.patch.object(model, "_table_steps", table_steps_reference):
-        want = batch_outcome(genomes, p)
-    assert batch_outcome(genomes, p) == want
+@st.composite
+def table_calls(draw):
+    """A sequence of calls over up to 10 (calibration, width) keys, more than
+    the workspaces kept, so that a workspace is reused, also after a call
+    with failing rows, and dropped: (p, n, seed) for each call."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(TABLE_LOOP_CALIBRATIONS), st.integers(1, 80)),
+                         min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=12))
+    return [(*keys[k], draw(st.integers(0, 2**32 - 1))) for k in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_calls())
+def test_table_loop_matches_its_reference(calls):
+    for p, n, seed in calls:
+        genomes = np.random.default_rng(seed).uniform(-0.5, 1.5, (n, 2 * p.H))
+        with mock.patch.object(model, "_table_steps", table_steps_reference):
+            want = batch_outcome(genomes, p)
+        assert batch_outcome(genomes, p) == want
+
+
+def test_threads_at_one_width_get_the_serial_results():
+    p = ModelParams()
+    tables = [np.random.default_rng(seed).random((60, 2 * p.H)) for seed in (1, 2)]
+    serial = [evaluate_batch(table, p).tobytes() for table in tables]
+    got = [[], []]
+
+    def score(k):
+        for _ in range(30):
+            got[k].append(evaluate_batch(tables[k], p).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the step loop
+    try:
+        threads = [threading.Thread(target=score, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[serial[0]] * 30, [serial[1]] * 30]
+
+
+def test_workspaces_are_reused_and_bounded():
+    p = ModelParams(H=3)
+    evaluate_batch(np.full((5, 6), 0.5), p)
+    before = dict(model._WORKSPACES)
+    evaluate_batch(np.full((5, 6), 0.25), p)
+    assert model._WORKSPACES.keys() == before.keys()
+    assert all(model._WORKSPACES[key] is ws for key, ws in before.items())
+    for n in range(1, 3 * model._MAX_WORKSPACES):
+        evaluate_batch(np.full((n, 6), 0.5), p)
+    assert len(model._WORKSPACES) == model._MAX_WORKSPACES
+
+
+def test_a_warm_call_allocates_no_history():
+    # the (H+1, 11, n) history alone is 654 KiB at n = 200; a warm call
+    # reuses its workspace and allocates only whole-horizon temporaries
+    p = ModelParams()
+    genomes = np.random.default_rng(4).random((200, 2 * p.H))
+    evaluate_batch(genomes, p)
+    tracemalloc.start()
+    try:
+        evaluate_batch(genomes, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
 
 
 def as_bytes(*values):
