@@ -40,17 +40,17 @@ kernels below take floats or arrays alike and never raise.
   n = 200.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
-operation on numpy scalars costs about 0.2 us and one on a short array about
-1 us, whatever its length. A table's step makes 22 array calls (46 before
-the stacking, 25 before the workspace), each writing through a prebuilt view
-with ``out``. An array call with a Python-float operand pays for numpy 2's
-weak-scalar conversion (about 0.75 against 0.48 us with a 0-d array operand
-at n = 60), so a table's step reads cached 0-d constants. One genome keeps
-the scalar kernels: run as a one-row table it took 1.28 ms against 0.33 ms
-on numpy scalars. The policy-independent paths (population, TFP, emission
-intensity, land-use emissions, and the per-step terms built from them) come
-from one cache keyed on the frozen ``ModelParams``, filled on first use with
-the scalar step functions below.
+operation on numpy scalars costs about 0.2 us and one on a short array about 1
+us, whatever its length. A table's step makes 22 array calls (46 before the
+stacking, 25 before the workspace), each writing through a prebuilt view with
+``out``, and the loop's own 18 read their ufuncs from locals. An array call
+with a Python-float operand pays for numpy 2's weak-scalar conversion (about
+0.75 against 0.48 us with a 0-d array operand at n = 60), so a table's step
+reads cached 0-d constants. One genome keeps the scalar kernels: run as a one-
+row table it took 1.28 ms against 0.33 ms on numpy scalars. The policy-
+independent paths (population, TFP, emission intensity, land-use emissions, and
+the per-step terms built from them) come from one cache keyed on the frozen
+``ModelParams``, filled on first use with the scalar step functions below.
 """
 
 from __future__ import annotations
@@ -543,26 +543,28 @@ def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarra
     gamma, psi, F_2x, M_AT_1750, xi2, one, _ = ex.table
     omega_y, products, damage, Omega, Y, Q, residual_Y, psi1_T, psi2_T = ws.scratch
     linear = ws.linear
+    power, multiply, add, divide, subtract, log2 = (
+        np.power, np.multiply, np.add, np.divide, np.subtract, np.log2)
     for ((A, labour, E_Land, forcing), box, pair, s_i, states,
          K, M_AT, T_AT, I, xi2_E, F, C) in ws.steps:
-        np.power(K, gamma, Y)  # gross_output
-        np.multiply(A, Y, Y)
-        np.multiply(Y, labour, Y)
-        np.multiply(psi, T_AT, damage)  # damage_factor
-        np.add(one, psi1_T, psi1_T)
-        np.multiply(psi2_T, T_AT, psi2_T)
-        np.add(psi1_T, psi2_T, Omega)
-        np.divide(one, Omega, Omega)
-        np.multiply(pair, omega_y, products)  # kept * Omega and residual * Y
-        np.multiply(Q, Y, Q)
-        np.multiply(s_i, Q, I)
-        np.subtract(Q, I, C)
-        np.add(residual_Y, E_Land, xi2_E)  # total_emissions, then times xi2
-        np.multiply(xi2, xi2_E, xi2_E)
-        np.divide(M_AT, M_AT_1750, F)  # radiative_forcing
-        np.log2(F, F)
-        np.multiply(F_2x, F, F)
-        np.add(F, forcing, F)
+        power(K, gamma, Y)  # gross_output
+        multiply(A, Y, Y)
+        multiply(Y, labour, Y)
+        multiply(psi, T_AT, damage)  # damage_factor
+        add(one, psi1_T, psi1_T)
+        multiply(psi2_T, T_AT, psi2_T)
+        add(psi1_T, psi2_T, Omega)
+        divide(one, Omega, Omega)
+        multiply(pair, omega_y, products)  # kept * Omega and residual * Y
+        multiply(Q, Y, Q)
+        multiply(s_i, Q, I)
+        subtract(Q, I, C)
+        add(residual_Y, E_Land, xi2_E)  # total_emissions, then times xi2
+        multiply(xi2, xi2_E, xi2_E)
+        divide(M_AT, M_AT_1750, F)  # radiative_forcing
+        log2(F, F)
+        multiply(F_2x, F, F)
+        add(F, forcing, F)
         _linear_step(box, linear, states)
     return ws.history
 

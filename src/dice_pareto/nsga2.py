@@ -18,12 +18,11 @@ The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 (W, T_max), with per-row rank and crowding arrays carried alongside.
 
 Survivors: the parents and the scored children are merged, whole fronts are
-kept while they fit and the front that overflows is cut by crowding. A
-generation whose merged front 1 holds at least N rows skips the full
-ranking: front 1 is read off the sort the ranking would make, and only its
-rows are crowded and cut. The survivors, their order, rank and crowding are
-those the full ranking gives (with seeds 1-3, 93 % of the generations of a
-60 x 200 run take this path and 17 % of a 200 x 50 run).
+kept while they fit and the front that overflows is cut by crowding. Only
+the fronts down to that cut are ranked, peeled in numpy from the sweep's
+visiting order, and only their rows are crowded; the rows behind the cut
+are never ranked. The survivors, their order, rank and crowding are those
+the full ranking gives. ``non_dominated_sort`` ranks the initial population.
 
 Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
 (n, 2) table of (W, T_max). The engine calls it once on the initial
@@ -125,23 +124,21 @@ def _visit_order(objectives: np.ndarray) -> np.ndarray:
     return np.lexsort((objectives[:, 1], -objectives[:, 0]))
 
 
-def non_dominated_sort(objectives: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
     """1-based front rank of each row of an (n, 2) table of (W, T_max).
 
     Front k is non-dominated within the union of fronts k..end; rank 1 is
     globally non-dominated. Two-objective sweep in O(n log n) (the 2-D case
     of Jensen 2003): rows are visited by W descending, then T_max ascending,
     ties in row order, so a row can only be dominated by rows visited before
-    it; ``order`` may pass that visiting order in when the caller has it.
-    ``lows`` holds the least T_max of each front so far, in ascending order,
-    and a row joins the first front whose least T_max exceeds its own. Equal
-    rows never dominate each other, so a row equal in both objectives to the
-    row visited just before it takes that row's rank. A non-finite objective
-    raises ``EngineError`` naming its row.
+    it. ``lows`` holds the least T_max of each front so far, in ascending
+    order, and a row joins the first front whose least T_max exceeds its own.
+    Equal rows never dominate each other, so a row equal in both objectives to
+    the row visited just before it takes that row's rank. A non-finite
+    objective raises ``EngineError`` naming its row.
     """
     _require_finite(objectives)
-    if order is None:
-        order = _visit_order(objectives)
+    order = _visit_order(objectives)
     lows: list[float] = []
     ranks = []
     front, previous = 0, None
@@ -175,10 +172,17 @@ def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) ->
     """
     _require_finite(objectives)
     n = len(objectives)
-    if rank is None:
-        rank = np.zeros(n, dtype=int)
     d = np.zeros(n)
     if n == 0:
+        return d
+    if rank is None:  # one front: a stable sort by value alone
+        for column in (-objectives[:, 0], objectives[:, 1]):
+            order = np.argsort(column, kind="stable")
+            vals = column[order]
+            d[order[[0, -1]]] = np.inf
+            span = vals[-1] - vals[0]
+            if span > 0:
+                d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
         return d
     fronts = np.sort(rank)
     edge = np.ones(n + 1, dtype=bool)  # edge[k]: a front starts at sorted position k
@@ -275,33 +279,44 @@ def _evaluation_error(genomes: np.ndarray, generation: int, row: int,
                        f"batch row {row}: {reason}", genome=genomes[row].copy())
 
 
-def _rank_and_crowd(objectives: np.ndarray,
-                    order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    rank = non_dominated_sort(objectives, order)
+def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rank = non_dominated_sort(objectives)
     return rank, crowding_distance(objectives, rank)
 
 
-def _first_front(objectives: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Row indices of front 1, ascending, from the sweep's visiting order.
+def _peel(objectives: np.ndarray, target: int) -> np.ndarray:
+    """Front ranks of an (n, 2) table down to the front where at least
+    ``target`` rows (or all n) are ranked; 0 for the rows behind it.
 
-    A row is in front 1 when its T_max is below that of every row visited
-    before it, which is where the running least T_max drops. A row equal in
-    both objectives to the row visited before it takes that row's front, so
-    every row of a chain of equal rows takes the front of the chain's first.
+    Equal rows are contiguous in the sweep's visiting order (``_visit_order``)
+    and each chain of them takes the rank of its first row, its head, as in
+    ``non_dominated_sort``. Front k is the unranked heads whose T_max is below
+    the least T_max of every unranked head visited before them; a ranked
+    head's T_max is set to +inf so that it no longer counts.
     """
+    order = _visit_order(objectives)
     n = len(order)
     visited = objectives[order]
-    lowest = np.minimum.accumulate(visited[:, 1])
-    drops = np.empty(n, dtype=bool)
-    drops[:1] = True
-    np.less(lowest[1:], lowest[:-1], out=drops[1:])
-    fresh = np.empty(n, dtype=bool)  # not equal to the row visited before it
-    fresh[:1] = True
-    np.any(visited[1:] != visited[:-1], axis=1, out=fresh[1:])
-    chain_start = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
-    first = np.zeros(n, dtype=bool)
-    first[order] = drops[chain_start]
-    return np.flatnonzero(first)
+    w, t = visited[:, 0], visited[:, 1]
+    bounds = np.ones(n + 1, dtype=bool)  # bounds[k]: a chain starts at visit k
+    np.not_equal(w[1:], w[:-1], out=bounds[1:n])
+    bounds[1:n] |= t[1:] != t[:-1]
+    bounds = np.flatnonzero(bounds)
+    sizes = np.diff(bounds)
+    t = t[bounds[:-1]]  # the heads' T_max
+    low = np.full(len(t) + 1, np.inf)  # low[i]: least T_max of unranked heads before head i
+    head_rank = np.zeros(len(t), dtype=int)
+    front = ranked = 0
+    while ranked < min(target, n):
+        front += 1
+        np.minimum.accumulate(t, out=low[1:])
+        drops = t < low[:-1]
+        head_rank[drops] = front
+        ranked += sizes.sum(where=drops)
+        t[drops] = np.inf
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.repeat(head_rank, sizes)
+    return rank
 
 
 def _next_population(objectives: np.ndarray,
@@ -310,18 +325,16 @@ def _next_population(objectives: np.ndarray,
     rank and crowding: the same rows, order and bytes as ``_rank_and_crowd``
     followed by ``_survivors``.
 
-    When front 1 holds at least ``target`` rows, the survivors all come from
-    it, so only front 1 is crowded and cut and the other rows are not ranked.
+    ``_peel`` ranks the fronts down to the cut, and only their rows, in
+    ascending row order, are crowded and cut: the crowding of a front and
+    the cut depend on no row behind it.
     """
-    order = _visit_order(objectives)
-    first = _first_front(objectives, order)
-    if len(first) >= target:
-        crowding = crowding_distance(objectives[first])
-        keep = _survivors(np.ones(len(first), dtype=int), crowding, target)
-        return first[keep], np.ones(target, dtype=int), crowding[keep]
-    rank, crowding = _rank_and_crowd(objectives, order)
+    rank = _peel(objectives, target)
+    ranked = np.flatnonzero(rank)
+    rank = rank[ranked]
+    crowding = crowding_distance(objectives[ranked], None if rank.max() == 1 else rank)
     keep = _survivors(rank, crowding, target)
-    return keep, rank[keep], crowding[keep]
+    return ranked[keep], rank[keep], crowding[keep]
 
 
 def _survivors(rank: np.ndarray, crowding: np.ndarray, target: int) -> np.ndarray:

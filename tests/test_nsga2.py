@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from oracle import dominates, rank_and_crowd
+from oracle import crowding_by_front, dominates, rank_and_crowd
 
 import dice_pareto
 from dice_pareto import (
@@ -28,11 +28,10 @@ from dice_pareto import (
     tournament_select,
 )
 from dice_pareto.nsga2 import (
-    _first_front,
     _next_population,
+    _peel,
     _rank_and_crowd,
     _survivors,
-    _visit_order,
 )
 
 
@@ -188,9 +187,39 @@ def assert_same_survivors(objectives, target):
     assert got[2].tobytes() == want[2].tobytes()
 
 
+@st.composite
+def grid_tables(draw, max_rows):
+    """An (n, 2) table of GRID values, 1 <= n <= max_rows, whose rows repeat
+    into chains of equal rows; sometimes one column is constant."""
+    n = draw(st.integers(1, max_rows))
+    pairs = st.tuples(st.sampled_from(GRID), st.sampled_from(GRID))
+    rows = draw(st.lists(pairs, min_size=1, max_size=n))
+    table = np.array([rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1),
+                                                      min_size=n, max_size=n))])
+    if draw(st.booleans()):
+        column = draw(st.integers(0, 1))
+        table[:, column] = draw(st.sampled_from(GRID))
+    return table
+
+
+def assert_peeled(objectives, target):
+    """``_peel`` ranks the fronts down to the least one that holds, with the
+    fronts before it, at least ``target`` rows (or all), as the full ranking
+    does, and leaves every later row unranked; returns its rank."""
+    rank = non_dominated_sort(objectives)
+    peeled = _peel(objectives, target)
+    cut = peeled.max()
+    ranked = peeled > 0
+    assert peeled.dtype == rank.dtype
+    assert peeled[ranked].tolist() == rank[ranked].tolist()
+    assert (rank[~ranked] > cut).all()
+    assert np.count_nonzero(rank < cut) < min(target, len(rank)) <= np.count_nonzero(ranked)
+    return peeled
+
+
 class TestSurvivorShortcut:
-    """A generation whose merged front 1 fills the population crowds and cuts
-    only front 1; it must keep what ranking every row keeps."""
+    """Survivor selection ranks, crowds and cuts only the fronts down to the
+    survivor cut; it must keep what ranking every row keeps."""
 
     @settings(max_examples=400, deadline=None)
     @given(merged_populations())
@@ -198,9 +227,18 @@ class TestSurvivorShortcut:
         objectives, N, size = drawn
         rank = non_dominated_sort(objectives)
         assert np.count_nonzero(rank == 1) == size
-        first = _first_front(objectives, _visit_order(objectives))
-        assert first.tolist() == np.flatnonzero(rank == 1).tolist()
+        cut = assert_peeled(objectives, N).max()
+        # a front 1 of N - 1 rows (drawn for every N) puts the cut behind it
+        assert (cut >= 2) == (size < N)
+        event(f"cut at front {cut}")
         assert_same_survivors(objectives, N)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_tables(max_rows=24))
+    def test_the_peel_stops_at_the_cut_for_every_target(self, objectives):
+        for target in range(1, len(objectives) + 1):
+            assert_peeled(objectives, target)
+            assert_same_survivors(objectives, target)
 
     @pytest.mark.parametrize("size", [3, 4, 5])
     def test_front_one_of_n_minus_one_n_and_n_plus_one(self, size):
@@ -215,8 +253,8 @@ class TestSurvivorShortcut:
         # rows 1, 3, 4 are equal and in front 1; rows 0, 2, 5 are equal and
         # dominated by row 6, whose T_max they share
         objectives = min_rows((-1, 2), (-3, 1), (-1, 2), (-3, 1), (-3, 1), (-1, 2), (-4, 2))
-        first = _first_front(objectives, _visit_order(objectives))
-        assert first.tolist() == [1, 3, 4, 6]
+        assert _peel(objectives, 4).tolist() == [0, 1, 0, 1, 1, 0, 1]
+        assert _peel(objectives, 5).tolist() == [2, 1, 2, 1, 1, 2, 1]
 
     def test_a_front_one_that_fits_exactly_keeps_row_order(self):
         # crowding would put the boundary rows 0 and 3 first
@@ -225,6 +263,19 @@ class TestSurvivorShortcut:
         assert keep.tolist() == [0, 1, 2, 3]
         assert rank.tolist() == [1] * 4
         assert np.isinf(crowding[[0, 3]]).all() and np.isfinite(crowding[[1, 2]]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_tables(max_rows=40))
+@example(np.array([[0.5, -0.0]]))
+@example(np.array([[0.5, -0.0], [-0.5, 0.0]]))
+@example(np.array([[1.0, 2.0], [0.0, 2.0], [-1.0, 2.0]]))
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+def test_one_front_crowding_matches_the_ranked_path(objectives):
+    one_front = np.ones(len(objectives), dtype=int)
+    got = crowding_distance(objectives)
+    assert got.tobytes() == crowding_distance(objectives, one_front).tobytes()
+    assert got.tobytes() == crowding_by_front(objectives, one_front).tobytes()
 
 
 class TestTournament:
@@ -458,8 +509,9 @@ class TestEvolve:
             monkeypatch.setattr(engine, name, counted)
         evolve(_small_cfg(max_iterations=3), _small_evaluator, SMALL_MODEL.H,
                np.random.default_rng(3))
-        # the initial ranking, then one of each per generation
-        assert calls == ranking + (variation + ranking) * 3
+        # the initial ranking, then variation and one crowding per generation:
+        # the fronts down to the survivor cut are ranked without the public sort
+        assert calls == ranking + (variation + ["crowding_distance"]) * 3
 
     def test_a_filled_front_one_skips_the_ranking(self, monkeypatch):
         import dice_pareto.nsga2 as engine
@@ -492,6 +544,27 @@ class TestEvolve:
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         assert np.array_equal(swept.genomes, reference.genomes)
         assert np.array_equal(swept.objectives, reference.objectives)
+
+    def test_a_generation_without_children_ranks_every_row(self, monkeypatch):
+        import dice_pareto.nsga2 as engine
+
+        cfg = _small_cfg(population_size=4, crossover_fraction=0.0, mutant_fraction=0.0)
+        peeled = []
+
+        def recording(objectives, target):
+            peeled.append(_peel(objectives, target))
+            return peeled[-1]
+
+        monkeypatch.setattr(engine, "_peel", recording)
+        archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
+        assert len(peeled) == cfg.max_iterations
+        assert all(len(rank) == 4 and rank.min() >= 1 for rank in peeled)
+        monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
+        monkeypatch.setattr(engine, "_next_population", lambda objectives, target:
+                            full_ranking_survivors(objectives, target, rank_and_crowd))
+        reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
+        assert archive.genomes.tobytes() == reference.genomes.tobytes()
+        assert archive.objectives.tobytes() == reference.objectives.tobytes()
 
     def test_children_follow_the_documented_draw_order(self):
         # replay one generation from the module docstring's contract and
