@@ -27,30 +27,47 @@ kernels below take floats or arrays alike and never raise.
   row per step. ``simulate`` and ``evaluate_policy`` run it on one policy
   (``cli simulate``, representatives); ``simulate`` names the history's
   columns in a ``Trajectory``.
-* An (n, 2H) table steps on length-n rows and writes step i's (11, n) box
-  into row i of one (H+1, 11, n) history. Its six linear states (K, M_AT,
-  M_UP, M_LO, T_AT, T_LO) advance as one stacked array whose rows are the
-  products and sums of ``step_capital``, ``step_carbon`` and
+* An (n, 2H) table steps on length-n rows. Step i writes its C into box i
+  of one (H+1, 15, n) history and the states after it into box i + 1. The
+  six linear states advance as one stacked array, each row (head + middle)
+  + tail of the products of ``step_capital``, ``step_carbon`` and
   ``step_climate`` in their order, so the stacked step gives bit for bit
   what those kernels give on the same rows. ``evaluate_batch`` runs it on
   the whole population, once per generation. The history and every other
   array the loop writes live in a workspace (``_Workspace``) built on the
   first call for a ``ModelParams`` and width n and reused by later calls:
-  4568 * n bytes for the 37-step horizon, 274,080 at n = 60 and 913,600 at
-  n = 200.
+  6208 * n bytes for the 37-step horizon, 372,480 at n = 60 and 1,241,600
+  at n = 200.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
-operation on numpy scalars costs about 0.2 us and one on a short array about 1
-us, whatever its length. A table's step makes 22 array calls (46 before the
-stacking, 25 before the workspace), each writing through a prebuilt view with
-``out``, and the loop's own 18 read their ufuncs from locals. An array call
-with a Python-float operand pays for numpy 2's weak-scalar conversion (about
-0.75 against 0.48 us with a 0-d array operand at n = 60), so a table's step
-reads cached 0-d constants. One genome keeps the scalar kernels: run as a one-
-row table it took 1.28 ms against 0.33 ms on numpy scalars. The policy-
-independent paths (population, TFP, emission intensity, land-use emissions, and
-the per-step terms built from them) come from one cache keyed on the frozen
-``ModelParams``, filled on first use with the scalar step functions below.
+operation on numpy scalars costs about 0.2 us and one on a short array about
+0.5 us, whatever its length, or twice that when an operand broadcasts a (k, 1)
+column or strides. A table's step makes 17 array calls (46 before the
+stacking, 25 before the workspace, 22 before the row layout below), each on
+C-contiguous blocks of whole rows or on 0-d constants, written through a
+prebuilt view with ``out``, with the ufuncs read from locals. Calls of one
+form run on stacked rows, laid out so that each operand is one block:
+
+    box i of the history (15 rows)      shared rows (58 per workspace)
+    0-5     M_LO T_LO M_UP M_AT K T_AT  0       1.0
+    6, 7    A, exogenous forcing        1-14    heads, psi1 T_AT, middles, psi2 T_AT
+    8, 9    psi2 T_AT T_AT, A K**gamma  15, 16  K (then K**gamma), M_LO
+    10, 11  F_2x, labour factor         17-20   xi2 E, I, F, damage divisor D
+    12      M_AT / M_AT_1750, its log2  21-24   Omega, Y, F_2x log2, 1 + psi1 T_AT
+    13, 14  C, -0.0                     25-30   head + middle of the next states
+    policy rows of step i: xi2, s,      31-33   kept Omega, residual Y (then E), Q
+    kept share, residual intensity      34-39   tails: -0.0, -0.0, zeta23 M_LO,
+                                                dt xi2 E, dt I, xi1 F
+                                        40-57   coefficients of 1-14 and 36-39
+
+An array call with a Python-float operand pays for numpy 2's weak-scalar
+conversion (about 0.75 against 0.48 us with a 0-d array operand at n = 60), so
+a table's step reads 0-d constants. One genome keeps the scalar kernels: run
+as a one-row table it took 1.28 ms against 0.33 ms on numpy scalars. The
+policy-independent paths (population, TFP, emission intensity, land-use
+emissions, and the per-step terms built from them) come from one cache keyed
+on the frozen ``ModelParams``, filled on first use with the scalar step
+functions below.
 """
 
 from __future__ import annotations
@@ -264,22 +281,6 @@ def discount_factor(i: int, p: ModelParams) -> float:
     return (1.0 + p.rho) ** (i * p.dt)
 
 
-class _TableConstants(NamedTuple):
-    """The constants of a table's step as read-only arrays, which its step
-    reads in place of ``ModelParams``' floats: 0-d, except the (2, 1) column
-    of the two damage coefficients, which multiplies T_AT into two rows at
-    once. A 0-d operand skips numpy 2's weak-scalar conversion of a float and
-    rounds alike."""
-
-    gamma: np.ndarray
-    psi: np.ndarray  # (2, 1): psi1 and psi2
-    F_2x: np.ndarray
-    M_AT_1750: np.ndarray
-    xi2: np.ndarray
-    one: np.ndarray
-    steps: tuple[tuple[np.ndarray, ...], ...]  # (A, labour, E_Land, forcing) of each step
-
-
 class _Exogenous(NamedTuple):
     """The policy-independent paths of one ``ModelParams``.
 
@@ -300,7 +301,6 @@ class _Exogenous(NamedTuple):
     forcing: tuple[float, ...]    # exogenous_forcing
     failure: str | None
     columns: np.ndarray           # (4, steps, 1): theta1, sigma, L and discount_factor
-    table: _TableConstants
 
 
 def _read_only(values) -> np.ndarray:
@@ -340,13 +340,10 @@ def _exogenous(p: ModelParams) -> _Exogenous:
             state.append(value)
     theta1, labour, forcing, discount = tuple(zip(*terms)) or ((),) * 4
     steps = len(terms)
-    table = _TableConstants(
-        *map(_read_only, (p.gamma, [[p.psi1], [p.psi2]], p.F_2x, p.M_AT_1750, p.xi2, 1.0)),
-        steps=tuple(zip(*(map(_read_only, path[:steps]) for path in (A, labour, E_Land, forcing)))))
     return _Exogenous(
         L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=theta1,
         labour=labour, forcing=forcing, failure=failure,
-        columns=_read_only([theta1, sigma[:steps], L[:steps], discount])[..., None], table=table,
+        columns=_read_only([theta1, sigma[:steps], L[:steps], discount])[..., None],
     )
 
 
@@ -371,48 +368,33 @@ class _Run(NamedTuple):
     U: np.ndarray  # steps 0..H-1, one row per step
 
 
-# A run history has one row per state index 0..H. A table's row is an (11, n)
-# box: the linear states K, M_AT, M_UP, M_LO, T_AT and T_LO (0-5), the step's
-# inputs I, xi2 * E and F (6-8), -0.0 (9) and C (10). One genome's row has
-# the same 11 columns followed by Y, Omega, Q and E. Step columns are unset
-# in the last row, which holds the states after the last step.
+# A run history has one row per state index 0..H. One genome's row holds the
+# linear states K, M_AT, M_UP, M_LO, T_AT and T_LO, then its step's I,
+# xi2 * E, F, -0.0, C, Y, Omega, Q and E, which are unset in the last row (the
+# states after the last step). A table's row is a box of _BOX rows, laid out
+# for its step's calls (see the module docstring).
 _HISTORY = ("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO", "I", "xi2_E", "F", "zero", "C",
             "Y", "Omega", "Q", "E")
+_BOX = ("M_LO", "T_LO", "M_UP", "M_AT", "K", "T_AT", "A", "forcing", "psi2_T2", "A_K_gamma",
+        "F_2x", "labour", "log", "C", "zero")
+# the history columns the recursion reads, K, M_AT, T_AT and C, by rank
+_READS = tuple(tuple(map(names.index, ("K", "M_AT", "T_AT", "C"))) for names in (_HISTORY, _BOX))
 
-# Row r of the next box's states is
-#     c[r] * box[t[r]] + c[6 + r] * box[t[6 + r]] + c[12 + r] * box[t[12 + r]]
-# with t = _LINEAR_TAKE and c = _linear_coefficients(p): the products and sums
-# of step_capital, step_carbon and step_climate, in their order. A two-term
-# row adds 0 * -0.0 = -0.0, which leaves every sum as it is.
-_LINEAR_TAKE = np.array([0, 1, 1, 2, 4, 4,   # K, M_AT, M_AT, M_UP, T_AT, T_AT
-                         6, 2, 2, 3, 5, 5,   # I, M_UP, M_UP, M_LO, T_LO, T_LO
-                         9, 7, 3, 9, 8, 9])  # -0.0, xi2 * E, M_LO, -0.0, F, -0.0
-
-
-def _linear_coefficients(p: ModelParams) -> np.ndarray:
-    """The 18 coefficients of the table's linear step, in ``_LINEAR_TAKE`` order."""
-    return np.array([(1.0 - p.delta_K) ** p.dt, p.zeta11, p.zeta21, p.zeta32, p.phi11, p.phi21,
-                     p.dt, p.zeta12, p.zeta22, p.zeta33, p.phi12, p.phi22,
-                     0.0, p.dt, p.zeta23, 0.0, p.xi1, 0.0])
+# What a table's step gathers from its box: the factors of the heads of the
+# next states' sums (in _BOX order), of psi1 * T_AT, of the middles and of
+# psi2 * T_AT, which ``_coefficients`` multiply, then K and M_LO as they are.
+_TAKE = np.array([2, 5, 3, 3, 4, 5, 5,    # M_UP, T_AT, M_AT, M_AT, K, T_AT; T_AT
+                  0, 1, 2, 2, 14, 1, 5,   # M_LO, T_LO, M_UP, M_UP, -0.0, T_LO; T_AT
+                  4, 0])                  # K, M_LO
 
 
-def _linear_parts(p: ModelParams, n: int) -> tuple[np.ndarray, ...]:
-    """What ``_linear_step`` reads for n rows: ``_linear_coefficients``
-    repeated to (18, n), an (18, n) buffer for the terms, and that buffer's
-    three (6, n) parts."""
-    terms = np.empty((18, n))
-    return (np.repeat(_linear_coefficients(p)[:, None], n, axis=1), terms,
-            terms[:6], terms[6:12], terms[12:])
-
-
-def _linear_step(box: np.ndarray, parts: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """Advance the six linear states of a box (rows 0-9 as in ``_HISTORY``)
-    into ``out`` (6, n); ``parts`` is ``_linear_parts`` for the same n."""
-    coefficients, terms, head, middle, tail = parts
-    box.take(_LINEAR_TAKE, 0, terms, "clip")  # "clip": an unbuffered take
-    np.multiply(coefficients, terms, terms)
-    np.add(head, middle, out)
-    return np.add(out, tail, out)
+def _coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of a table's step: of the 14 gathered products, in
+    ``_TAKE`` order, and of the tails zeta23 * M_LO, dt * xi2 * E, dt * I and
+    xi1 * F of M_UP, M_AT, K and T_AT."""
+    return (np.array([p.zeta32, p.phi21, p.zeta21, p.zeta11, (1.0 - p.delta_K) ** p.dt, p.phi11,
+                      p.psi1, p.zeta33, p.phi22, p.zeta22, p.zeta12, 0.0, p.phi12, p.psi2]),
+            np.array([p.zeta23, p.dt, p.dt, p.xi1]))
 
 
 def _policy_terms(genomes: np.ndarray, theta1: np.ndarray, sigma: np.ndarray, p: ModelParams):
@@ -472,21 +454,27 @@ def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarr
     return np.array(history)
 
 
+# What every step of a table reads, by the names ``_table_steps`` gives it
+_Shared = NamedTuple("_Shared", [(name, np.ndarray) for name in """gathered coefficients
+    products K_gamma one_heads psi1_T_middles sums psi2_T_K_gamma Y_F_2x_log F_2x_log_sum F_D
+    D Omega Omega_Y kept_Omega_residual_Y kept_Omega Y Q E E_Q xi2_E_I I tail_coefficients
+    M_LO_xi2_E_I_F tail_products pairs tails gamma M_AT_1750 one""".split()])
+
+
 class _Workspace(NamedTuple):
     """What a table's step loop writes for one ``ModelParams`` and width n.
 
     Built on the first call for that pair and reused by every later call, so
-    a warm call allocates no history and makes no views. Row 0's initial
-    states and the -0.0 of column 9 are written once; every other value the
-    loop reads it has written earlier in the same call.
+    a warm call allocates no history and makes no views. The initial states
+    and the constant rows are written once; every other value the loop reads
+    it has written earlier in the same call.
     """
 
     exogenous: _Exogenous  # the key holds its id, so the workspace keeps it alive
-    history: np.ndarray    # (steps + 1, 11, n), see ``_HISTORY``
-    policy: np.ndarray     # (steps, 3, n): kept share, residual intensity, s
-    scratch: tuple[np.ndarray, ...]
-    linear: tuple[np.ndarray, ...]  # ``_linear_parts``
-    steps: tuple[tuple[np.ndarray, ...], ...]
+    history: np.ndarray    # (steps + 1, 15, n), see ``_BOX``
+    policy: np.ndarray     # (steps, 4, n): xi2, s, kept share, residual intensity
+    shared: _Shared        # views of the shared rows and 0-d constants
+    steps: tuple[tuple[np.ndarray, ...], ...]  # what step i reads, in the loop's order
 
 
 # At most this many workspaces are kept, the oldest dropped first. A key
@@ -511,19 +499,29 @@ def _workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
 
 def _build_workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
     steps = len(ex.theta1)
-    history = np.empty((steps + 1, 11, n))
-    history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
-    history[:, 9] = -0.0
-    policy = np.empty((steps, 3, n))
-    # Omega, Y, kept * Omega (then Q), residual * Y, psi1 * T_AT, psi2 * T_AT
-    scratch = np.empty((6, n))
-    views = (scratch[:2], scratch[2:4], scratch[4:], *scratch)
-    paths = (history[:, r] for r in (0, 1, 4, 6, 7, 8, 10))  # K, M_AT, T_AT, I, xi2 * E, F, C
+    history = np.empty((steps + 1, len(_BOX), n))
+    history[0, :6] = np.reshape((p.M_LO0, p.T_LO0, p.M_UP0, p.M_AT0, p.K0, p.T_AT0), (6, 1))
+    history[:steps, 6:8] = np.transpose((ex.A[:steps], ex.forcing))[..., None]
+    history[:, 10], history[:, 14] = p.F_2x, -0.0
+    history[:steps, 11] = np.reshape(ex.labour, (-1, 1))
+    policy = np.empty((steps, 4, n))
+    policy[:, 0] = p.xi2
+    rows = np.empty((58, n))  # the shared rows, see the module docstring
+    rows[0], rows[34:36] = 1.0, -0.0
+    rows[40:54], rows[54:] = (c[:, None] for c in _coefficients(p))
+    views = (rows[r] for r in (
+        slice(1, 17), slice(40, 54), slice(1, 15), 15, slice(0, 7), slice(7, 14),
+        slice(24, 31), slice(14, 16), slice(22, 24), slice(23, 25), slice(19, 21), 20, 21,
+        slice(21, 23), slice(31, 33), 31, 22, 33, 32, slice(32, 34), slice(17, 19), 18,
+        slice(54, 58), slice(16, 20), slice(36, 40), slice(25, 31), slice(34, 40)))
+    boxes = history[:-1]
     return _Workspace(
-        exogenous=ex, history=history, policy=policy, scratch=views,
-        linear=_linear_parts(p, n),
-        steps=tuple(zip(ex.table.steps, history, policy[:, :2], policy[:, 2], history[1:, :6],
-                        *paths)))
+        exogenous=ex, history=history, policy=policy,
+        shared=_Shared(*views, *map(_read_only, (p.gamma, p.M_AT_1750, 1.0))),
+        steps=tuple(zip(boxes, boxes[:, 3], boxes[:, 12], boxes[:, 5:7], boxes[:, 8:10],
+                        boxes[:, 9:11], boxes[:, 11:13], boxes[:, 7:9], policy[:, 2:],
+                        map(_read_only, ex.E_Land[:steps]), policy[:, :2], boxes[:, 13],
+                        history[1:, :6])))
 
 
 def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
@@ -531,41 +529,40 @@ def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarra
     is the calling thread's workspace (``_Workspace``) and is overwritten by
     its next call at the same width.
 
-    Step i reads box i of the history and writes its inputs and C there,
-    then ``_linear_step`` advances the linear states into box i + 1. Each
-    kernel's operations run in its order on the same operands, written
-    through the workspace's views with ``out``, so the values are those of
-    the kernels bit for bit. The products kept * Omega and residual * Y are
-    one call on two stacked rows, and so are psi1 * T_AT and psi2 * T_AT.
+    Step i reads box i of the history and the shared rows (see the module
+    docstring) and writes the next states into box i + 1, each (head +
+    middle) + tail in the order of its kernel: K's middle and the M_LO and
+    T_LO tails are -0.0, and x + -0.0 is x for every x. Every kernel's
+    operations keep their order and operands (a single * or + may take its
+    two operands swapped), so the values are those of the kernels bit for bit.
     """
     ws = _workspace(ex, p, kept.shape[1])
-    np.stack((kept, residual, s), axis=1, out=ws.policy)
-    gamma, psi, F_2x, M_AT_1750, xi2, one, _ = ex.table
-    omega_y, products, damage, Omega, Y, Q, residual_Y, psi1_T, psi2_T = ws.scratch
-    linear = ws.linear
+    np.stack((s, kept, residual), axis=1, out=ws.policy[:, 1:])
+    (gathered, coefficients, products, K_gamma, one_heads, psi1_T_middles, sums, psi2_T_K_gamma,
+     Y_F_2x_log, F_2x_log_sum, F_D, D, Omega, Omega_Y, kept_Omega_residual_Y, kept_Omega, Y, Q,
+     E, E_Q, xi2_E_I, I, tail_coefficients, M_LO_xi2_E_I_F, tail_products, pairs, tails,
+     gamma, M_AT_1750, one) = ws.shared
     power, multiply, add, divide, subtract, log2 = (
         np.power, np.multiply, np.add, np.divide, np.subtract, np.log2)
-    for ((A, labour, E_Land, forcing), box, pair, s_i, states,
-         K, M_AT, T_AT, I, xi2_E, F, C) in ws.steps:
-        power(K, gamma, Y)  # gross_output
-        multiply(A, Y, Y)
-        multiply(Y, labour, Y)
-        multiply(psi, T_AT, damage)  # damage_factor
-        add(one, psi1_T, psi1_T)
-        multiply(psi2_T, T_AT, psi2_T)
-        add(psi1_T, psi2_T, Omega)
-        divide(one, Omega, Omega)
-        multiply(pair, omega_y, products)  # kept * Omega and residual * Y
-        multiply(Q, Y, Q)
-        multiply(s_i, Q, I)
+    for (box, M_AT, log, T_AT_A, psi2_T2_A_K_gamma, A_K_gamma_F_2x, labour_log, forcing_psi2_T2,
+         kept_residual, E_Land, xi2_s, C, states) in ws.steps:
+        box.take(_TAKE, 0, gathered, "clip")  # "clip": an unbuffered take
+        multiply(coefficients, products, products)
+        power(K_gamma, gamma, K_gamma)
+        divide(M_AT, M_AT_1750, log)
+        add(one_heads, psi1_T_middles, sums)  # 1 + psi1 * T_AT, head + middle
+        multiply(psi2_T_K_gamma, T_AT_A, psi2_T2_A_K_gamma)
+        log2(log, log)
+        multiply(A_K_gamma_F_2x, labour_log, Y_F_2x_log)  # gross output Y
+        add(F_2x_log_sum, forcing_psi2_T2, F_D)  # forcing F, damage divisor D
+        divide(one, D, Omega)
+        multiply(kept_residual, Omega_Y, kept_Omega_residual_Y)
+        multiply(kept_Omega, Y, Q)
+        add(E, E_Land, E)  # residual * Y + E_Land: total_emissions
+        multiply(xi2_s, E_Q, xi2_E_I)
         subtract(Q, I, C)
-        add(residual_Y, E_Land, xi2_E)  # total_emissions, then times xi2
-        multiply(xi2, xi2_E, xi2_E)
-        divide(M_AT, M_AT_1750, F)  # radiative_forcing
-        log2(F, F)
-        multiply(F_2x, F, F)
-        add(F, forcing, F)
-        _linear_step(box, linear, states)
+        multiply(tail_coefficients, M_LO_xi2_E_I_F, tail_products)
+        add(pairs, tails, states)
     return ws.history
 
 
@@ -587,12 +584,13 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     loop = _table_steps if shape else _genome_steps
     theta1, sigma, L, discount = ex.columns if shape else ex.columns[..., 0]
     history = loop(ex, *_policy_terms(genomes, theta1, sigma, p), p)
-    steps = history[:-1]  # K, M_AT and C are columns 0, 1 and 10, T_AT column 4
+    k, m, t, c = _READS[len(shape)]  # the columns of K, M_AT, T_AT and C
+    steps = history[:-1]
     # the history keeps C as computed, so a trajectory shows C = 0 at s = 1
-    C = _checked_consumption(steps[:, 0], steps[:, 1], steps[:, 10])
+    C = _checked_consumption(steps[:, k], steps[:, m], steps[:, c])
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
-    T_max = history[:, 4].max(axis=0)
+    T_max = history[:, t].max(axis=0)
     U = utility(C, L, p)
     # W adds the discounted utilities to 0 step by step, in order, so a row's
     # W does not depend on the rows scored with it

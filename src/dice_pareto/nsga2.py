@@ -212,7 +212,8 @@ def tournament_select(
     i = rng.integers(n, size=size)
     j = rng.integers(n - 1, size=size)
     j += j >= i
-    first_wins = (rank[i] < rank[j]) | ((rank[i] == rank[j]) & (crowding[i] >= crowding[j]))
+    rank_i, rank_j = rank[i], rank[j]
+    first_wins = (rank_i < rank_j) | ((rank_i == rank_j) & (crowding[i] >= crowding[j]))
     return np.where(first_wins, i, j)
 
 
@@ -227,9 +228,10 @@ def crossover(
         raise EngineError(
             f"genome length mismatch: {parent_a.shape} vs {parent_b.shape}")
     beta = rng.uniform(BLEND_LOW, BLEND_HIGH, size=parent_a.shape)
-    child_a = np.clip(beta * parent_a + (1.0 - beta) * parent_b, 0.0, 1.0)
-    child_b = np.clip((1.0 - beta) * parent_a + beta * parent_b, 0.0, 1.0)
-    return child_a, child_b
+    rest = 1.0 - beta
+    child_a = beta * parent_a + rest * parent_b
+    child_b = rest * parent_a + beta * parent_b
+    return np.clip(child_a, 0.0, 1.0, out=child_a), np.clip(child_b, 0.0, 1.0, out=child_b)
 
 
 def mutate(genomes: np.ndarray, rng: np.random.Generator, cfg: EngineConfig) -> np.ndarray:

@@ -146,17 +146,34 @@ def _front_crowding(objectives):
     return d
 
 
+# The stacked linear step of a table as it was first written: row r of the
+# next states (K, M_AT, M_UP, M_LO, T_AT, T_LO) is
+#     c[r] * box[t[r]] + c[6 + r] * box[t[6 + r]] + c[12 + r] * box[t[12 + r]]
+# over a box of the states, I, xi2 * E, F and -0.0 (rows 0-9), with t below
+# and c = linear_coefficients(p).
+LINEAR_TAKE = np.array([0, 1, 1, 2, 4, 4,   # K, M_AT, M_AT, M_UP, T_AT, T_AT
+                        6, 2, 2, 3, 5, 5,   # I, M_UP, M_UP, M_LO, T_LO, T_LO
+                        9, 7, 3, 9, 8, 9])  # -0.0, xi2 * E, M_LO, -0.0, F, -0.0
+
+
+def linear_coefficients(p):
+    return np.array([(1.0 - p.delta_K) ** p.dt, p.zeta11, p.zeta21, p.zeta32, p.phi11, p.phi21,
+                     p.dt, p.zeta12, p.zeta22, p.zeta33, p.phi12, p.phi22,
+                     0.0, p.dt, p.zeta23, 0.0, p.xi1, 0.0])
+
+
 def table_steps_reference(ex, kept, s, residual, p):
     """The table step loop before its constants became cached 0-d arrays:
     every kernel reads Python-float parameters from ``p`` and the step's
     exogenous terms from the cached tuples, and each box of the history is
-    indexed per step. A drop-in for ``model._table_steps``: returns the
-    (steps + 1, 11, n) history."""
-    from dice_pareto.model import (_LINEAR_TAKE, _linear_coefficients, damage_factor,
-                                   gross_output, radiative_forcing, total_emissions)
+    indexed per step. A drop-in for ``model._table_steps``: returns a
+    (steps + 1, len(_BOX), n) history holding the states and C in the rows
+    that ``model._BOX`` names."""
+    from dice_pareto.model import (_BOX, damage_factor, gross_output, radiative_forcing,
+                                   total_emissions)
 
     steps, n = kept.shape
-    coefficients = np.repeat(_linear_coefficients(p)[:, None], n, axis=1)
+    coefficients = np.repeat(linear_coefficients(p)[:, None], n, axis=1)
     history = np.empty((steps + 1, 11, n))
     history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
     history[:, 9] = -0.0
@@ -170,11 +187,15 @@ def table_steps_reference(ex, kept, s, residual, p):
         np.subtract(Q, I, out=box[10])
         np.multiply(p.xi2, total_emissions(residual[i], Y, ex.E_Land[i]), out=box[7])
         box[8] = radiative_forcing(M_AT, ex.forcing[i], p)
-        terms = coefficients * box.take(_LINEAR_TAKE, axis=0)
+        terms = coefficients * box.take(LINEAR_TAKE, axis=0)
         out = history[i + 1, :6]
         np.add(terms[:6], terms[6:12], out=out)
         np.add(out, terms[12:], out=out)
-    return history
+    table = np.full((steps + 1, len(_BOX), n), np.nan)
+    for column, name in enumerate(("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO")):
+        table[:, _BOX.index(name)] = history[:, column]
+    table[:-1, _BOX.index("C")] = history[:-1, 10]
+    return table
 
 
 def genome_steps_reference(ex, kept, s, residual, p):

@@ -37,7 +37,7 @@ from dice_pareto.model import (
     total_emissions,
     utility,
 )
-from dice_pareto.model import _linear_parts, _linear_step
+from dice_pareto.model import _BOX, _TAKE, _exogenous, _workspace
 
 mp.dps = 40
 
@@ -315,21 +315,34 @@ def linear_inputs(draw):
 
 
 def assert_stacked_step_matches_kernels(drawn, p):
+    """The calls of a table's step that advance its states, on the views of
+    its workspace, against the kernels."""
     K, M_AT, M_UP, M_LO, T_AT, T_LO, I, E, F = drawn
     n = drawn.shape[1]
-    box = np.empty((10, n))  # the table's layout: states, I, xi2 * E, F, -0.0
+    v = _workspace(_exogenous(p), p, n).shared
+    box = np.full((len(_BOX), n), np.nan)  # a box of the history: states and -0.0
+    for name, row in dict(K=K, M_AT=M_AT, M_UP=M_UP, M_LO=M_LO, T_AT=T_AT, T_LO=T_LO).items():
+        box[_BOX.index(name)] = row
+    box[_BOX.index("zero")] = -0.0
     with np.errstate(all="ignore"):
-        box[:9] = K, M_AT, M_UP, M_LO, T_AT, T_LO, I, p.xi2 * E, F
-        box[9] = -0.0
-        got = _linear_step(box, _linear_parts(p, n), np.empty((6, n)))
-        want = np.array([step_capital(K, I, p), *step_carbon(M_AT, M_UP, M_LO, E, p),
-                         *step_climate(T_AT, T_LO, F, p)])
+        box.take(_TAKE, 0, v.gathered, "clip")
+        np.multiply(v.coefficients, v.products, v.products)
+        np.add(v.one_heads, v.psi1_T_middles, v.sums)  # head + middle
+        v.M_LO_xi2_E_I_F[1:] = p.xi2 * E, I, F
+        np.multiply(v.tail_coefficients, v.M_LO_xi2_E_I_F, v.tail_products)
+        got = v.pairs + v.tails
+        M_AT1, M_UP1, M_LO1 = step_carbon(M_AT, M_UP, M_LO, E, p)
+        T_AT1, T_LO1 = step_climate(T_AT, T_LO, F, p)
+        want = dict(K=step_capital(K, I, p), M_AT=M_AT1, M_UP=M_UP1, M_LO=M_LO1, T_AT=T_AT1,
+                    T_LO=T_LO1)
+    want = np.array([want[name] for name in _BOX[:6]])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
 
 
 class TestStackedLinearStep:
-    """The stacked step of a table against the scalar kernels it replaces."""
+    """The stacked step of a table, (head + middle) + tail row for row in
+    its layout, against the scalar kernels it replaces."""
 
     @pytest.mark.parametrize("p", [P, DISTINCT], ids=["default", "distinct"])
     @settings(max_examples=150, deadline=None)

@@ -231,6 +231,18 @@ def test_workspaces_are_reused_and_bounded():
     assert len(model._WORKSPACES) == model._MAX_WORKSPACES
 
 
+@pytest.mark.parametrize("p", [ModelParams(), ModelParams(rho=1000.0)], ids=["default", "short"])
+def test_a_table_step_reads_whole_rows_or_0d_constants(p):
+    # a (k, 1) column broadcasts and a strided view strides, each at about
+    # twice the cost of a call on contiguous rows
+    n, ex = 3, model._exogenous(p)
+    ws = model._workspace(ex, p, n)
+    assert len(ws.steps) == len(ex.theta1)  # 21 steps when the paths stop early
+    for views in (ws.shared, *ws.steps):
+        for a in views:
+            assert a.ndim == 0 or (a.flags.c_contiguous and a.shape[-1] == n), a.shape
+
+
 def test_a_warm_call_allocates_no_history():
     # the (H+1, 11, n) history alone is 654 KiB at n = 200; a warm call
     # reuses its workspace and allocates only whole-horizon temporaries
