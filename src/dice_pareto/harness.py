@@ -40,8 +40,6 @@ FRONT_FILE = "front.csv"
 COMPARISON_FILE = "comparison.csv"
 METADATA_FILE = "metadata.json"
 
-DEFAULT_REFERENCE_POINTS = ({"name": "MPC", "W": 27.2348, "T_max": 4.3885},)
-
 
 @dataclass(frozen=True)
 class ReferencePoint:
@@ -51,17 +49,29 @@ class ReferencePoint:
     objectives: ObjectivePair
 
 
+DEFAULT_REFERENCE_POINTS = (ReferencePoint("MPC", ObjectivePair(W=27.2348, T_max=4.3885)),)
+
+
 @dataclass
 class RunConfig:
     model: ModelParams = field(default_factory=ModelParams)
     engine: EngineConfig = field(default_factory=EngineConfig)
     output_dir: str = "out"
     representative_count: int = 6
-    reference_points: tuple[ReferencePoint, ...] = ()
+    reference_points: tuple[ReferencePoint, ...] = DEFAULT_REFERENCE_POINTS
 
     def __post_init__(self) -> None:
         if not self.reference_points:
-            self.reference_points = _parse_reference_points(list(DEFAULT_REFERENCE_POINTS))
+            raise ConfigError("reference_points must hold at least one point")
+        names = set()
+        for rp in self.reference_points:
+            # a name is a comparison.csv cell and part of two column names
+            if not rp.name or any(c in rp.name for c in ',"\r\n'):
+                raise ConfigError("reference point name must be non-empty without a comma, "
+                                  f"quote or line break, got {rp.name!r}")
+            if rp.name in names:
+                raise ConfigError(f"reference point name {rp.name!r} is used twice")
+            names.add(rp.name)
         if not (isinstance(self.representative_count, int) and self.representative_count >= 2):
             raise ConfigError(
                 f"representative_count must be an integer >= 2, got {self.representative_count!r}")
@@ -122,14 +132,15 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     count = data.get("representative_count", 6)
     if _number(count, "representative_count") != int(count):
         raise ConfigError(f"representative_count must be an integer, got {count!r}")
-    references = _parse_reference_points(
-        data.get("reference_points", list(DEFAULT_REFERENCE_POINTS)))
+    references = {}
+    if "reference_points" in data:
+        references["reference_points"] = _parse_reference_points(data["reference_points"])
     return RunConfig(
         model=model,
         engine=engine,
         output_dir=output_dir,
         representative_count=int(count),
-        reference_points=references,
+        **references,
     )
 
 

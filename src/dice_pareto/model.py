@@ -24,9 +24,9 @@ peak in one reduction, and sums the discounted utilities. So the per-step
 kernels below take floats or arrays alike and never raise.
 
 * One genome (2H,) steps on numpy scalars through the kernels and appends a
-  row per step. ``simulate`` and ``evaluate_policy`` run it on one policy
-  (``cli simulate``, representatives); ``simulate`` names the history's
-  columns in a ``Trajectory``.
+  row of 13 columns per step. ``simulate`` and ``evaluate_policy`` run it on
+  one policy (``cli simulate``, representatives); ``simulate`` names the
+  history's columns in a ``Trajectory``.
 * An (n, 2H) table steps on length-n rows. Step i writes its C into box i
   of one (H+1, 15, n) history and the states after it into box i + 1. The
   six linear states advance as one stacked array, each row (head + middle)
@@ -35,9 +35,9 @@ kernels below take floats or arrays alike and never raise.
   what those kernels give on the same rows. ``evaluate_batch`` runs it on
   the whole population, once per generation. The history and every other
   array the loop writes live in a workspace (``_Workspace``) built on the
-  first call for a ``ModelParams`` and width n and reused by later calls:
-  6208 * n bytes for the 37-step horizon, 372,480 at n = 60 and 1,241,600
-  at n = 200.
+  first call for a ``ModelParams``, width n and thread and reused by later
+  calls: 6208 * n bytes for the 37-step horizon, 372,480 at n = 60 and
+  1,241,600 at n = 200. An ``lru_cache`` keeps the 8 most recently used.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
 operation on numpy scalars costs about 0.2 us and one on a short array about
@@ -368,13 +368,12 @@ class _Run(NamedTuple):
     U: np.ndarray  # steps 0..H-1, one row per step
 
 
-# A run history has one row per state index 0..H. One genome's row holds the
-# linear states K, M_AT, M_UP, M_LO, T_AT and T_LO, then its step's I,
-# xi2 * E, F, -0.0, C, Y, Omega, Q and E, which are unset in the last row (the
-# states after the last step). A table's row is a box of _BOX rows, laid out
-# for its step's calls (see the module docstring).
-_HISTORY = ("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO", "I", "xi2_E", "F", "zero", "C",
-            "Y", "Omega", "Q", "E")
+# A run history has one row per state index 0..H. One genome's row holds 13
+# columns: the linear states K, M_AT, M_UP, M_LO, T_AT and T_LO, then its
+# step's I, F, C, Y, Omega, Q and E, which are NaN in the last row (the states
+# after the last step). A table's row is a box of _BOX rows, laid out for its
+# step's calls (see the module docstring).
+_HISTORY = ("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO", "I", "F", "C", "Y", "Omega", "Q", "E")
 _BOX = ("M_LO", "T_LO", "M_UP", "M_AT", "K", "T_AT", "A", "forcing", "psi2_T2", "A_K_gamma",
         "F_2x", "labour", "log", "C", "zero")
 # the history columns the recursion reads, K, M_AT, T_AT and C, by rank
@@ -445,12 +444,11 @@ def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarr
         I = s[i] * Q
         E = total_emissions(residual[i], Y, ex.E_Land[i])
         F = radiative_forcing(M_AT, ex.forcing[i], p)
-        history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO, I, p.xi2 * E, F, -0.0, Q - I,
-                        Y, Omega, Q, E))
+        history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO, I, F, Q - I, Y, Omega, Q, E))
         M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
         T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
         K = step_capital(K, I, p)
-    history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO) + (math.nan,) * 9)  # no step
+    history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO) + (math.nan,) * 7)  # no step
     return np.array(history)
 
 
@@ -470,34 +468,18 @@ class _Workspace(NamedTuple):
     it has written earlier in the same call.
     """
 
-    exogenous: _Exogenous  # the key holds its id, so the workspace keeps it alive
     history: np.ndarray    # (steps + 1, 15, n), see ``_BOX``
     policy: np.ndarray     # (steps, 4, n): xi2, s, kept share, residual intensity
     shared: _Shared        # views of the shared rows and 0-d constants
     steps: tuple[tuple[np.ndarray, ...], ...]  # what step i reads, in the loop's order
 
 
-# At most this many workspaces are kept, the oldest dropped first. A key
-# names its thread, so two threads never share a workspace.
-_MAX_WORKSPACES = 8
-_WORKSPACES: dict[tuple[int, int, int], _Workspace] = {}
-_WORKSPACES_LOCK = threading.Lock()
-
-
-def _workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
-    """The calling thread's workspace for the parameters of ``ex`` and width n."""
-    key = (id(ex), n, threading.get_ident())
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _build_workspace(ex, p, n)
-        with _WORKSPACES_LOCK:
-            while len(_WORKSPACES) >= _MAX_WORKSPACES:
-                del _WORKSPACES[next(iter(_WORKSPACES))]
-            _WORKSPACES[key] = ws
-    return ws
-
-
-def _build_workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
+@functools.lru_cache(maxsize=8)
+def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
+    """The workspace of thread ``thread`` for ``p`` and width n. The key names
+    the thread, so two threads never share a workspace; at most 8 are kept,
+    the least recently used dropped first."""
+    ex = _exogenous(p)
     steps = len(ex.theta1)
     history = np.empty((steps + 1, len(_BOX), n))
     history[0, :6] = np.reshape((p.M_LO0, p.T_LO0, p.M_UP0, p.M_AT0, p.K0, p.T_AT0), (6, 1))
@@ -516,7 +498,7 @@ def _build_workspace(ex: _Exogenous, p: ModelParams, n: int) -> _Workspace:
         slice(54, 58), slice(16, 20), slice(36, 40), slice(25, 31), slice(34, 40)))
     boxes = history[:-1]
     return _Workspace(
-        exogenous=ex, history=history, policy=policy,
+        history=history, policy=policy,
         shared=_Shared(*views, *map(_read_only, (p.gamma, p.M_AT_1750, 1.0))),
         steps=tuple(zip(boxes, boxes[:, 3], boxes[:, 12], boxes[:, 5:7], boxes[:, 8:10],
                         boxes[:, 9:11], boxes[:, 11:13], boxes[:, 7:9], policy[:, 2:],
@@ -536,7 +518,7 @@ def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarra
     operations keep their order and operands (a single * or + may take its
     two operands swapped), so the values are those of the kernels bit for bit.
     """
-    ws = _workspace(ex, p, kept.shape[1])
+    ws = _workspace(p, kept.shape[1], threading.get_ident())
     np.stack((s, kept, residual), axis=1, out=ws.policy[:, 1:])
     (gathered, coefficients, products, K_gamma, one_heads, psi1_T_middles, sums, psi2_T_K_gamma,
      Y_F_2x_log, F_2x_log_sum, F_D, D, Omega, Omega_Y, kept_Omega_residual_Y, kept_Omega, Y, Q,

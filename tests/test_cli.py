@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from test_harness import BAD_REFERENCE_POINTS
 
 from dice_pareto.cli import _build_parser, main
 
@@ -339,6 +340,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'X' W" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("points, message", BAD_REFERENCE_POINTS)
+    def test_bad_reference_points_are_one_line_config_errors(self, tmp_path, capsys, points,
+                                                              message):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "front.csv").write_text("W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"H": 1}, "reference_points": points}))
+        assert run_cli("report", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "comparison.csv").exists()
 
 
 class TestDispatch:

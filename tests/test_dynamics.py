@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from dice_pareto.model import (
     total_emissions,
     utility,
 )
-from dice_pareto.model import _BOX, _TAKE, _exogenous, _workspace
+from dice_pareto.model import _BOX, _TAKE, _workspace
 
 mp.dps = 40
 
@@ -319,7 +320,7 @@ def assert_stacked_step_matches_kernels(drawn, p):
     its workspace, against the kernels."""
     K, M_AT, M_UP, M_LO, T_AT, T_LO, I, E, F = drawn
     n = drawn.shape[1]
-    v = _workspace(_exogenous(p), p, n).shared
+    v = _workspace(p, n, threading.get_ident()).shared
     box = np.full((len(_BOX), n), np.nan)  # a box of the history: states and -0.0
     for name, row in dict(K=K, M_AT=M_AT, M_UP=M_UP, M_LO=M_LO, T_AT=T_AT, T_LO=T_LO).items():
         box[_BOX.index(name)] = row

@@ -34,12 +34,23 @@ from dice_pareto.harness import (
     TRAJECTORY_COLUMNS,
     _fmt,
     _format_rows,
+    config_from_dict,
     config_hash,
     format_front_csv,
     format_trajectory_csv,
 )
 
 MPC = ReferencePoint("MPC", ObjectivePair(27.2348, 4.3885))
+
+# reference points that would break comparison.csv: no point at all, two
+# points sharing their dW_/dT_ columns, and names that are not one CSV cell
+BAD_REFERENCE_POINTS = [
+    pytest.param([], "at least one point", id="empty"),
+    pytest.param([{"name": "X", "W": 1.0, "T_max": 2.0}, {"name": "X", "W": 3.0, "T_max": 4.0}],
+                 "'X' is used twice", id="duplicate"),
+    *(pytest.param([{"name": name, "W": 1.0, "T_max": 2.0}], "name must be non-empty",
+                   id=repr(name)) for name in ("", "a,b", 'a"b', "a\rb", "a\nb")),
+]
 
 # published representative objective values, highest welfare first
 PUBLISHED_SOLUTIONS = {
@@ -109,6 +120,11 @@ class TestLoadConfig:
             "reference_points": [{"name": "X", "W": 1.0, "T_max": 2.0}]}))
         cfg = load_config(path)
         assert cfg.reference_points == (ReferencePoint("X", ObjectivePair(1.0, 2.0)),)
+
+    @pytest.mark.parametrize("points, message", BAD_REFERENCE_POINTS)
+    def test_reference_points_must_make_one_csv_cell_each(self, points, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"reference_points": points})
 
     def test_malformed_reference_point(self, tmp_path):
         path = tmp_path / "cfg.json"

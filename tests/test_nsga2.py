@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from oracle import crowding_by_front, dominates, rank_and_crowd
+from oracle import brute_force_rank, crowding_by_front, dominates, rank_and_crowd
 
 import dice_pareto
 from dice_pareto import (
@@ -30,7 +30,6 @@ from dice_pareto import (
 from dice_pareto.nsga2 import (
     _next_population,
     _peel,
-    _rank_and_crowd,
     _survivors,
 )
 
@@ -90,6 +89,12 @@ class TestNonDominatedSort:
         rank = non_dominated_sort(min_rows((3, 3), (1, 1), (2, 2)))
         assert fronts_of(rank) == [[1], [2], [0]]
         assert rank.tolist() == [3, 1, 2]
+
+    def test_a_chain_of_300_rows_takes_300_fronts(self):
+        # the peel's worst case: one front per row, each row dominating the next
+        order = np.random.default_rng(8).permutation(300)
+        rank = non_dominated_sort(min_rows(*[(k, k) for k in order]))
+        assert rank.tolist() == (order + 1).tolist()
 
     def test_empty_population(self):
         assert non_dominated_sort(min_rows()).tolist() == []
@@ -172,8 +177,9 @@ def merged_populations(draw):
     return np.array(rows)[order], N, size
 
 
-def full_ranking_survivors(objectives, target, rank_and_crowd=_rank_and_crowd):
-    """Survivors, rank and crowding from ranking and crowding every row."""
+def full_ranking_survivors(objectives, target):
+    """Survivors, rank and crowding from ranking and crowding every row with
+    the brute-force reference."""
     rank, crowding = rank_and_crowd(objectives)
     keep = _survivors(rank, crowding, target)
     return keep, rank[keep], crowding[keep]
@@ -206,7 +212,7 @@ def assert_peeled(objectives, target):
     """``_peel`` ranks the fronts down to the least one that holds, with the
     fronts before it, at least ``target`` rows (or all), as the full ranking
     does, and leaves every later row unranked; returns its rank."""
-    rank = non_dominated_sort(objectives)
+    rank = brute_force_rank(objectives)
     peeled = _peel(objectives, target)
     cut = peeled.max()
     ranked = peeled > 0
@@ -539,8 +545,7 @@ class TestEvolve:
         cfg = _small_cfg(max_iterations=20, rng_seed=seed)
         swept = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
-        monkeypatch.setattr(engine, "_next_population", lambda objectives, target:
-                            full_ranking_survivors(objectives, target, rank_and_crowd))
+        monkeypatch.setattr(engine, "_next_population", full_ranking_survivors)
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         assert np.array_equal(swept.genomes, reference.genomes)
         assert np.array_equal(swept.objectives, reference.objectives)
@@ -557,11 +562,11 @@ class TestEvolve:
 
         monkeypatch.setattr(engine, "_peel", recording)
         archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
-        assert len(peeled) == cfg.max_iterations
+        # the initial population's full ranking, then one peel per generation
+        assert len(peeled) == cfg.max_iterations + 1
         assert all(len(rank) == 4 and rank.min() >= 1 for rank in peeled)
         monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
-        monkeypatch.setattr(engine, "_next_population", lambda objectives, target:
-                            full_ranking_survivors(objectives, target, rank_and_crowd))
+        monkeypatch.setattr(engine, "_next_population", full_ranking_survivors)
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
         assert archive.genomes.tobytes() == reference.genomes.tobytes()
         assert archive.objectives.tobytes() == reference.objectives.tobytes()

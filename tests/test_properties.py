@@ -222,13 +222,16 @@ def test_threads_at_one_width_get_the_serial_results():
 def test_workspaces_are_reused_and_bounded():
     p = ModelParams(H=3)
     evaluate_batch(np.full((5, 6), 0.5), p)
-    before = dict(model._WORKSPACES)
+    ws = model._workspace(p, 5, threading.get_ident())
+    hits = model._workspace.cache_info().hits
     evaluate_batch(np.full((5, 6), 0.25), p)
-    assert model._WORKSPACES.keys() == before.keys()
-    assert all(model._WORKSPACES[key] is ws for key, ws in before.items())
-    for n in range(1, 3 * model._MAX_WORKSPACES):
+    assert model._workspace.cache_info().hits == hits + 1
+    assert model._workspace(p, 5, threading.get_ident()) is ws
+    bound = model._workspace.cache_info().maxsize
+    assert bound == 8
+    for n in range(1, 3 * bound):
         evaluate_batch(np.full((n, 6), 0.5), p)
-    assert len(model._WORKSPACES) == model._MAX_WORKSPACES
+    assert model._workspace.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("p", [ModelParams(), ModelParams(rho=1000.0)], ids=["default", "short"])
@@ -236,7 +239,7 @@ def test_a_table_step_reads_whole_rows_or_0d_constants(p):
     # a (k, 1) column broadcasts and a strided view strides, each at about
     # twice the cost of a call on contiguous rows
     n, ex = 3, model._exogenous(p)
-    ws = model._workspace(ex, p, n)
+    ws = model._workspace(p, n, threading.get_ident())
     assert len(ws.steps) == len(ex.theta1)  # 21 steps when the paths stop early
     for views in (ws.shared, *ws.steps):
         for a in views:
