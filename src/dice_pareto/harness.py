@@ -294,7 +294,10 @@ def write_files(texts: dict[Path, str]) -> list[Path]:
 
 def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     """Write front, trajectories, comparison, and metadata files with
-    ``write_files``; returns the written paths."""
+    ``write_files``, then remove every ``trajectory_*.csv`` in ``out_dir``
+    that this run did not write, so an earlier run's representatives do not
+    pass for this run's; returns the written paths. A failed write removes
+    nothing."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts = {out / FRONT_FILE: format_front_csv(report.archive)}
@@ -302,7 +305,10 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
         texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj)
     texts[out / COMPARISON_FILE] = format_comparison_csv(report.comparison)
     texts[out / METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
-    return write_files(texts)
+    written = write_files(texts)
+    for stale in sorted(set(out.glob("trajectory_*.csv")) - set(written)):
+        stale.unlink(missing_ok=True)
+    return written
 
 
 def format_front_csv(archive: FrontArchive) -> str:
@@ -348,8 +354,9 @@ def format_comparison_csv(rows: Sequence[dict[str, Any]]) -> str:
 def load_front(path: str | Path) -> FrontArchive:
     """Read a front file back into an archive (objectives and genomes).
 
-    Rows are sorted by (T_max, -W); a row with a missing, extra, non-numeric
-    or non-finite cell is rejected with its line number.
+    Rows are sorted by (T_max, -W). A row with a missing, extra, non-numeric
+    or non-finite cell, a gene outside [0, 1] or the (W, T_max) of an earlier
+    row is rejected with its line number: ``optimize`` writes none of these.
     """
     path = Path(path)
     if not path.exists():
@@ -373,7 +380,19 @@ def load_front(path: str | Path) -> FrontArchive:
             raise ConfigError(f"{path}:{number}: non-numeric cell: {exc}") from None
         if not np.isfinite(table[k]).all():
             raise ConfigError(f"{path}:{number}: non-finite value in row")
-    table = table[np.lexsort((-table[:, 0], table[:, 1]))]
+    numbers = [number for number, _ in lines[1:]]
+    outside = ((table[:, 2:] < 0.0) | (table[:, 2:] > 1.0)).any(axis=1)
+    if outside.any():
+        raise ConfigError(f"{path}:{numbers[outside.argmax()]}: gene outside [0, 1] in row")
+    order = np.lexsort((-table[:, 0], table[:, 1]))
+    table = table[order]
+    # the sort is stable, so of two equal rows the later one in the file
+    # comes second; the earliest such row follows the first of its kind
+    repeats = np.flatnonzero((table[1:, :2] == table[:-1, :2]).all(axis=1))
+    if len(repeats):
+        k = repeats[order[repeats + 1].argmin()]
+        raise ConfigError(f"{path}:{numbers[order[k + 1]]}: (W, T_max) repeats line "
+                          f"{numbers[order[k]]}")
     return FrontArchive(genomes=table[:, 2:], objectives=table[:, :2])
 
 

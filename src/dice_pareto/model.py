@@ -19,9 +19,14 @@ minimized).
 need no state come first, for every step at once. Then the step loop of the
 input's rank returns the run's history, one row per state index 0..H (see
 ``_HISTORY``), which ``_recursion`` reads once: it checks K > 0, M_AT > 0 and
-C > 0 for every step and row and names the first failure, takes the T_AT
-peak in one reduction, and sums the discounted utilities. So the per-step
-kernels below take floats or arrays alike and never raise.
+C > 0 for every step and row, one reduction each, and only on a failure
+looks for the first one to name it; it takes the T_AT peak in one
+reduction, and sums the discounted utilities step by step. So the per-step
+kernels below take floats or arrays alike and never raise. The whole-horizon
+terms, from the clipped genes to the discounted utilities, are written in
+place, with the operations of ``residual_intensity``, ``abatement_fraction``
+and ``utility`` in their order, into one set of arrays (``_Terms``): new
+ones for one genome, the workspace's for a table.
 
 * One genome (2H,) steps on numpy scalars through the kernels and appends a
   row of 13 columns per step. ``simulate`` and ``evaluate_policy`` run it on
@@ -34,10 +39,12 @@ kernels below take floats or arrays alike and never raise.
   ``step_climate`` in their order, so the stacked step gives bit for bit
   what those kernels give on the same rows. ``evaluate_batch`` runs it on
   the whole population, once per generation. The history and every other
-  array the loop writes live in a workspace (``_Workspace``) built on the
-  first call for a ``ModelParams``, width n and thread and reused by later
-  calls: 6208 * n bytes for the 37-step horizon, 372,480 at n = 60 and
-  1,241,600 at n = 200. An ``lru_cache`` keeps the 8 most recently used.
+  array the call writes, the whole-horizon terms included, live in a
+  workspace (``_Workspace``) built on the first call for a ``ModelParams``,
+  width n and thread and reused by later calls, so a warm call looks up one
+  cache and allocates no (H, n) array: 6808 * n bytes for the 37-step
+  horizon, 408,480 at n = 60 and 1,361,600 at n = 200. An ``lru_cache``
+  keeps the 8 most recently used.
 
 The cost of either loop is numpy's per-call dispatch, not arithmetic: an
 operation on numpy scalars costs about 0.2 us and one on a short array about
@@ -368,6 +375,35 @@ class _Run(NamedTuple):
     U: np.ndarray  # steps 0..H-1, one row per step
 
 
+class _Terms(NamedTuple):
+    """The whole-horizon arrays ``_recursion`` writes around a step loop, one
+    row per step in the rank of its input. A table's belong to its workspace
+    and every call rewrites them; one genome's are new on every call."""
+
+    ex: _Exogenous
+    columns: np.ndarray    # theta1, sigma, L and discount factor: ``_Exogenous.columns``
+    mu: np.ndarray         # the clipped mu, then the floored C and its utility U
+    policy: np.ndarray     # (steps, 4) + shape: xi2 (a table's step reads it), then
+    s: np.ndarray          # the saving rate, the kept share 1 - Lambda and the
+    kept: np.ndarray       # residual intensity sigma * (1 - mu), whose rows these
+    residual: np.ndarray   # three views are
+    welfare: np.ndarray    # (steps + 1,) + shape: 0, then each step's U / discount
+    theta2: np.ndarray     # 0-d
+    one_minus_alpha: np.ndarray  # 0-d
+
+
+def _terms(p: ModelParams, shape: tuple[int, ...]) -> _Terms:
+    """New ``_Terms`` of ``p`` for one genome (``shape`` ()) or n rows ((n,))."""
+    ex = _exogenous(p)
+    steps = len(ex.theta1)
+    policy = np.empty((steps, 4) + shape)
+    welfare = np.empty((steps + 1,) + shape)
+    welfare[0] = 0.0
+    return _Terms(ex, ex.columns if shape else ex.columns[..., 0], np.empty((steps,) + shape),
+                  policy, *policy.swapaxes(0, 1)[1:], welfare,
+                  *map(_read_only, (p.theta2, 1.0 - p.alpha)))
+
+
 # A run history has one row per state index 0..H. One genome's row holds 13
 # columns: the linear states K, M_AT, M_UP, M_LO, T_AT and T_LO, then its
 # step's I, F, C, Y, Omega, Q and E, which are NaN in the last row (the states
@@ -396,40 +432,31 @@ def _coefficients(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             np.array([p.zeta23, p.dt, p.dt, p.xi1]))
 
 
-def _policy_terms(genomes: np.ndarray, theta1: np.ndarray, sigma: np.ndarray, p: ModelParams):
-    """The terms of every step that need no state, one row per step: the kept
-    share of output 1 - Lambda, the saving rate s and the emission intensity
-    left after mitigation. Genes are clipped to [0, 1]; ``theta1`` and
-    ``sigma`` are ``_Exogenous.columns`` in the rank of ``genomes``."""
-    steps = len(theta1)
-    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
-    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
-    Lambda = abatement_fraction(mu, theta1, p)
-    return np.subtract(1.0, Lambda, out=Lambda), s, residual_intensity(sigma, mu)
-
-
-def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Return a floored copy of the consumption path, once every step's
-    capital, atmospheric carbon and floored consumption is positive.
+def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Floor the consumption path into ``out`` (a new array if None) and
+    return it, once every step's capital, atmospheric carbon and floored
+    consumption is positive, which takes one reduction per path.
 
     Otherwise raise for the first step, then check (``_CHECKS`` order), then
     row that fails.
     """
-    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR))
+    paths = (K, M_AT, np.maximum(C, CONSUMPTION_FLOOR, out=out))
+    # a NaN minimum is not positive; a path of no steps passes
+    if all(path.min(initial=math.inf) > 0 for path in paths):
+        return paths[2]
     failures = []
     for check, path in enumerate(paths):
         ok = path > 0
         if not ok.all():
             step, *row = np.unravel_index(np.argmin(ok), ok.shape)
             failures.append((step, check, row))
-    if failures:
-        step, check, row = min(failures)
-        value = paths[check][(step, *row)]
-        message = f"{_CHECKS[check]}, got {value}"
-        if not np.isfinite(value):
-            message = f"arithmetic overflow: {message}"
-        _fail(int(step), int(row[0]) if row else None, message)
-    return paths[2]
+    step, check, row = min(failures)
+    value = paths[check][(step, *row)]
+    message = f"{_CHECKS[check]}, got {value}"
+    if not np.isfinite(value):
+        message = f"arithmetic overflow: {message}"
+    _fail(int(step), int(row[0]) if row else None, message)
 
 
 def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
@@ -463,13 +490,13 @@ class _Workspace(NamedTuple):
     """What a table's step loop writes for one ``ModelParams`` and width n.
 
     Built on the first call for that pair and reused by every later call, so
-    a warm call allocates no history and makes no views. The initial states
-    and the constant rows are written once; every other value the loop reads
-    it has written earlier in the same call.
+    a warm call allocates no whole-horizon array and makes no views. The
+    initial states and the constant rows are written once; every other value
+    the loop reads it has written earlier in the same call.
     """
 
+    terms: _Terms          # the policy terms (policy: (steps, 4, n)) and welfare rows
     history: np.ndarray    # (steps + 1, 15, n), see ``_BOX``
-    policy: np.ndarray     # (steps, 4, n): xi2, s, kept share, residual intensity
     shared: _Shared        # views of the shared rows and 0-d constants
     steps: tuple[tuple[np.ndarray, ...], ...]  # what step i reads, in the loop's order
 
@@ -479,14 +506,14 @@ def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
     """The workspace of thread ``thread`` for ``p`` and width n. The key names
     the thread, so two threads never share a workspace; at most 8 are kept,
     the least recently used dropped first."""
-    ex = _exogenous(p)
+    terms = _terms(p, (n,))
+    ex, policy = terms.ex, terms.policy
     steps = len(ex.theta1)
     history = np.empty((steps + 1, len(_BOX), n))
     history[0, :6] = np.reshape((p.M_LO0, p.T_LO0, p.M_UP0, p.M_AT0, p.K0, p.T_AT0), (6, 1))
     history[:steps, 6:8] = np.transpose((ex.A[:steps], ex.forcing))[..., None]
     history[:, 10], history[:, 14] = p.F_2x, -0.0
     history[:steps, 11] = np.reshape(ex.labour, (-1, 1))
-    policy = np.empty((steps, 4, n))
     policy[:, 0] = p.xi2
     rows = np.empty((58, n))  # the shared rows, see the module docstring
     rows[0], rows[34:36] = 1.0, -0.0
@@ -498,7 +525,7 @@ def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
         slice(54, 58), slice(16, 20), slice(36, 40), slice(25, 31), slice(34, 40)))
     boxes = history[:-1]
     return _Workspace(
-        history=history, policy=policy,
+        terms=terms, history=history,
         shared=_Shared(*views, *map(_read_only, (p.gamma, p.M_AT_1750, 1.0))),
         steps=tuple(zip(boxes, boxes[:, 3], boxes[:, 12], boxes[:, 5:7], boxes[:, 8:10],
                         boxes[:, 9:11], boxes[:, 11:13], boxes[:, 7:9], policy[:, 2:],
@@ -506,10 +533,10 @@ def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
                         history[1:, :6])))
 
 
-def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
-    """The step loop of a table, on length-n rows; returns its history, which
-    is the calling thread's workspace (``_Workspace``) and is overwritten by
-    its next call at the same width.
+def _table_steps(ws: _Workspace) -> np.ndarray:
+    """The step loop of a table, on length-n rows of the workspace ``ws``
+    (``_Workspace``), whose policy rows ``_recursion`` has written; returns
+    its history, which the thread's next call at the same width overwrites.
 
     Step i reads box i of the history and the shared rows (see the module
     docstring) and writes the next states into box i + 1, each (head +
@@ -518,8 +545,6 @@ def _table_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarra
     operations keep their order and operands (a single * or + may take its
     two operands swapped), so the values are those of the kernels bit for bit.
     """
-    ws = _workspace(p, kept.shape[1], threading.get_ident())
-    np.stack((s, kept, residual), axis=1, out=ws.policy[:, 1:])
     (gathered, coefficients, products, K_gamma, one_heads, psi1_T_middles, sums, psi2_T_K_gamma,
      Y_F_2x_log, F_2x_log_sum, F_D, D, Omega, Omega_Y, kept_Omega_residual_Y, kept_Omega, Y, Q,
      E, E_Q, xi2_E_I, I, tail_coefficients, M_LO_xi2_E_I_F, tail_products, pairs, tails,
@@ -555,30 +580,48 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     """Run the closed-loop dynamics for one genome (2H,) or a table (n, 2H)
     and read the objectives from its history (see the module docstring).
 
-    Utility feeds nothing back, so it is evaluated for every step at once
-    after the loop. A capital stock, carbon mass or consumption that is not
-    positive raises ``ModelDomainError`` naming the first failing step (and
-    row, for a table); a non-finite one is reported as an arithmetic
-    overflow.
+    The terms that need no state and utility, which feeds nothing back, are
+    evaluated for every step at once, in place in the input's ``_Terms``:
+    the workspace's for a table, new arrays for one genome. A capital stock,
+    carbon mass or consumption that is not positive raises
+    ``ModelDomainError`` naming the first failing step (and row, for a
+    table); a non-finite one is reported as an arithmetic overflow.
     """
-    ex = _exogenous(p)
     shape = genomes.shape[:-1]  # () for one genome, (n,) for a table
-    loop = _table_steps if shape else _genome_steps
-    theta1, sigma, L, discount = ex.columns if shape else ex.columns[..., 0]
-    history = loop(ex, *_policy_terms(genomes, theta1, sigma, p), p)
+    ws = _workspace(p, shape[0], threading.get_ident()) if shape else None
+    (ex, (theta1, sigma, L, discount), mu, _, s, kept, residual, welfare, theta2,
+     one_minus_alpha) = ws.terms if shape else _terms(p, ())
+    subtract, multiply, divide, power = np.subtract, np.multiply, np.divide, np.power
+    # the genes clipped to [0, 1], then the operations of residual_intensity
+    # and of 1 - abatement_fraction in their order
+    steps = len(mu)
+    genomes[..., :steps].T.clip(0.0, 1.0, mu)
+    genomes[..., p.H:p.H + steps].T.clip(0.0, 1.0, s)
+    subtract(1.0, mu, residual)
+    multiply(sigma, residual, residual)
+    power(mu, theta2, kept)
+    multiply(theta1, kept, kept)
+    subtract(1.0, kept, kept)
+    history = _table_steps(ws) if shape else _genome_steps(ex, kept, s, residual, p)
     k, m, t, c = _READS[len(shape)]  # the columns of K, M_AT, T_AT and C
-    steps = history[:-1]
-    # the history keeps C as computed, so a trajectory shows C = 0 at s = 1
-    C = _checked_consumption(steps[:, k], steps[:, m], steps[:, c])
+    rows = history[:-1]
+    # mu is spent, so its rows take the floored C; the history keeps C as
+    # computed, so a trajectory shows C = 0 at s = 1
+    U = _checked_consumption(rows[:, k], rows[:, m], rows[:, c], mu)
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
     T_max = history[:, t].max(axis=0)
-    U = utility(C, L, p)
+    # the operations of utility(C, L, p) in their order
+    multiply(1000.0, U, U)
+    divide(U, L, U)
+    power(U, one_minus_alpha, U)
+    subtract(U, 1.0, U)
+    multiply(L, U, U)
+    divide(U, one_minus_alpha, U)
+    divide(U, discount, welfare[1:])
     # W adds the discounted utilities to 0 step by step, in order, so a row's
     # W does not depend on the rows scored with it
-    terms = np.zeros((len(L) + 1,) + shape)
-    np.divide(U, discount, out=terms[1:])
-    W = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    W = np.add.accumulate(welfare, axis=0, out=welfare)[-1]
     return _Run(W=W, T_max=T_max, history=history, U=U)
 
 
@@ -634,11 +677,11 @@ def evaluate_batch(genomes: np.ndarray, p: ModelParams) -> np.ndarray:
     if genomes.ndim != 2 or genomes.shape[1] != 2 * H:
         raise ModelDomainError(
             f"genomes must form an (n, 2H) = (n, {2 * H}) table, got shape {genomes.shape}")
-    finite = np.isfinite(genomes).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    if not np.isfinite(genomes).all():
+        row = int(np.argmin(np.isfinite(genomes).all(axis=1)))
         raise ModelDomainError(f"row {row}: policy entries must be finite", row=row)
-    if len(genomes) == 0:
-        return np.empty((0, 2))
-    run = _recursion(genomes, p)
-    return np.column_stack((run.W, run.T_max))
+    scores = np.empty((len(genomes), 2))
+    if len(genomes):
+        run = _recursion(genomes, p)
+        scores[:, 0], scores[:, 1] = run.W, run.T_max
+    return scores

@@ -78,8 +78,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not (isinstance(self.H, int) and self.H >= 0):
-            raise ConfigError(f"H must be a non-negative integer, got {self.H!r}")
+        # a run needs at least one step to score: W and T_max of no step are constants
+        if not (isinstance(self.H, int) and self.H >= 1):
+            raise ConfigError(f"H must be a positive integer, got {self.H!r}")
         for name in ("delta_K", "delta_pb", "delta_sigma", "delta_EL"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

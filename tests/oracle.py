@@ -1,8 +1,8 @@
 """Independent references for the tests: a high-precision re-derivation of
 the DICE-2016R recursion, Pareto dominance of two objective pairs,
 brute-force front ranks with front-by-front crowding distance, earlier forms
-of the model's two step loops, and a row-by-row scan that picks
-representatives.
+of the model's policy terms and two step loops, and a row-by-row scan that
+picks representatives.
 
 ``resimulate`` restates every constant literally, independent of the params
 module, and advances the full state recursion with mpmath at 40 digits,
@@ -162,11 +162,26 @@ def linear_coefficients(p):
                      0.0, p.dt, p.zeta23, 0.0, p.xi1, 0.0])
 
 
+def policy_terms_reference(genomes, theta1, sigma, p):
+    """The terms of every step that need no state, as the model built them
+    before it wrote them in place: the kept share 1 - Lambda, the saving
+    rate s and the residual emission intensity, one row per step, from genes
+    clipped to [0, 1] with ``np.clip``. ``theta1`` and ``sigma`` are
+    ``_Exogenous.columns`` in the rank of ``genomes``."""
+    from dice_pareto.model import abatement_fraction, residual_intensity
+
+    steps = len(theta1)
+    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
+    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
+    Lambda = abatement_fraction(mu, theta1, p)
+    return np.subtract(1.0, Lambda, out=Lambda), s, residual_intensity(sigma, mu)
+
+
 def table_steps_reference(ex, kept, s, residual, p):
     """The table step loop before its constants became cached 0-d arrays:
     every kernel reads Python-float parameters from ``p`` and the step's
     exogenous terms from the cached tuples, and each box of the history is
-    indexed per step. A drop-in for ``model._table_steps``: returns a
+    indexed per step. Like ``model._table_steps`` it returns a
     (steps + 1, len(_BOX), n) history holding the states and C in the rows
     that ``model._BOX`` names."""
     from dice_pareto.model import (_BOX, damage_factor, gross_output, radiative_forcing,
@@ -196,6 +211,31 @@ def table_steps_reference(ex, kept, s, residual, p):
         table[:, _BOX.index(name)] = history[:, column]
     table[:-1, _BOX.index("C")] = history[:-1, 10]
     return table
+
+
+def batch_reference(genomes, p):
+    """``model.evaluate_batch`` on a non-empty, finite (n, 2H) table as it was
+    built before the model wrote its whole-horizon terms in place: new
+    policy-term tables, ``table_steps_reference`` for the loop, a floored copy
+    of C, and ``utility`` over new tables. Returns the (n, 2) table of
+    (W, T_max) or raises the same ``ModelDomainError``."""
+    from dice_pareto.model import _READS, _checked_consumption, _exogenous, _fail, utility
+
+    ex = _exogenous(p)
+    theta1, sigma, L, discount = ex.columns
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        history = table_steps_reference(
+            ex, *policy_terms_reference(genomes, theta1, sigma, p), p)
+        k, m, t, c = _READS[1]
+        steps = history[:-1]
+        C = _checked_consumption(steps[:, k], steps[:, m], steps[:, c])
+        if ex.failure is not None:
+            _fail(len(ex.L) - 1, 0, ex.failure)
+        T_max = history[:, t].max(axis=0)
+        terms = np.zeros((len(L) + 1, len(genomes)))
+        np.divide(utility(C, L, p), discount, out=terms[1:])
+        W = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return np.column_stack((W, T_max))
 
 
 def genome_steps_reference(ex, kept, s, residual, p):
@@ -234,14 +274,13 @@ def simulate_reference(policy, p):
     """``model.simulate`` as it was built on ``genome_steps_reference``:
     returns W, T_max and a dict of every trajectory column, or raises the
     same ``ModelDomainError``."""
-    from dice_pareto.model import (_exogenous, _fail, _policy_terms, abatement_fraction,
-                                   utility)
+    from dice_pareto.model import _exogenous, _fail, abatement_fraction, utility
 
     ex = _exogenous(p)
     theta1, sigma, L, discount = ex.columns[..., 0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         C, T_max, states, flows = genome_steps_reference(
-            ex, *_policy_terms(policy.to_genome(), theta1, sigma, p), p)
+            ex, *policy_terms_reference(policy.to_genome(), theta1, sigma, p), p)
         if ex.failure is not None:
             _fail(len(ex.L) - 1, None, ex.failure)
         U = utility(C, L, p)

@@ -197,6 +197,39 @@ class TestOptimize:
         assert len(lines) >= 2
         assert lines[0].startswith("W,T_max,mu_0")
 
+    def test_zero_horizon_is_one_line_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "model": {"H": 0}}))
+        out = tmp_path / "out"
+        assert run_cli("optimize", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "config error: H must be a positive integer, got 0\n"
+        assert not out.exists()
+
+    def test_a_run_with_fewer_representatives_removes_the_stale_trajectories(
+            self, tmp_path, tiny_cfg):
+        out = tmp_path / "run"
+        trajectories = lambda: sorted(path.name for path in out.glob("trajectory_*.csv"))
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", "30",
+                       "--representatives", "6", "--out", str(out)) == 0
+        assert trajectories() == [f"trajectory_{label}.csv" for label in "ABCDEF"]
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", "30",
+                       "--representatives", "2", "--seed", "2", "--out", str(out)) == 0
+        assert trajectories() == ["trajectory_A.csv", "trajectory_B.csv"]
+        names = [line.split(",")[0] for line in
+                 (out / "comparison.csv").read_text().splitlines()[1:]]
+        assert sorted(names) == ["A", "B", "MPC"]
+
+    def test_a_failed_run_keeps_every_trajectory_of_the_previous_one(
+            self, tmp_path, tiny_cfg, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", "30",
+                       "--representatives", "6", "--out", str(out)) == 0
+        previous = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr(Path, "write_text", _disk_full)
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", "30",
+                       "--representatives", "2", "--seed", "2", "--out", str(out)) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
     def test_seed_precedence_flag_over_env_over_config(self, tmp_path, tiny_cfg,
                                                        monkeypatch):
         def seed_of(out):
@@ -310,7 +343,8 @@ class TestReport:
         (out / "front.csv").write_text("W,T_max,mu_0,s_0\n")
         assert run_cli("report", "--out", str(out)) != 0
 
-    @pytest.mark.parametrize("bad_row", ["1.5,abc,0.5,0.5", "nan,2.0,0.5,0.5"])
+    @pytest.mark.parametrize("bad_row", ["1.5,abc,0.5,0.5", "nan,2.0,0.5,0.5",
+                                         "1.5,2.5,0.5,1.5", "1.0,2.0,0.25,0.75"])
     def test_bad_front_row_is_usage_error_naming_the_line(self, tmp_path, capsys, bad_row):
         out = tmp_path / "run"
         out.mkdir()

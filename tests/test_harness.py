@@ -307,7 +307,7 @@ class TestPersistence:
 
     def test_trajectory_file_layout(self, tmp_path):
         per_step = {"E", "Y", "Q", "C", "I", "mu", "s"}  # blank on the final row
-        for H in (0, 1, 37):  # H = 0: the initial state is the only row
+        for H in (1, 37):  # H = 1: one step row and the final states
             cfg = tiny_config(tmp_path, model={"H": H})
             report = run_experiment(cfg)
             out = tmp_path / f"run_{H}"
@@ -363,6 +363,20 @@ class TestPersistence:
         path.write_text(f"W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n{row}\n")
         with pytest.raises(ConfigError, match=r"front\.csv:3: non-finite"):
             load_front(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,2.5,0.5,1.0000000000000002", "gene outside [0, 1] in row"),
+        ("1.5,2.5,-1e-300,0.5", "gene outside [0, 1] in row"),
+        ("1.0,2.0,0.25,0.75", "(W, T_max) repeats line 2"),
+        ("1.0,2.0,0.5,0.5", "(W, T_max) repeats line 2"),
+        ("-0.0,2.0,0.5,0.5", "(W, T_max) repeats line 3"),
+    ])
+    def test_rows_optimize_never_writes_name_the_line(self, tmp_path, row, message):
+        path = tmp_path / "front.csv"
+        path.write_text(f"W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n0.0,2.0,-0.0,1.0\n\n{row}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_front(path)
+        assert str(exc.value) == f"{path}:5: {message}"
 
     def test_config_hash_tracks_content(self, tmp_path):
         cfg_a = tiny_config(tmp_path)

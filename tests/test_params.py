@@ -84,6 +84,7 @@ def test_initial_conditions_match_dice2016r_release():
     ({"M_AT_1750": -588.0}, "M_AT_1750"),
     ({"rho": -1.0}, "rho"),
     ({"rho": -2.0, "dt": 2.5}, "rho"),
+    ({"H": 0}, "H"),
 ])
 def test_invariant_violations_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -18,7 +18,6 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,14 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle import (
+    batch_reference,
     brute_force_rank,
     crowding_by_front,
     resimulate,
     select_representatives_reference,
     simulate_reference,
-    table_steps_reference,
 )
-from test_dynamics import DISTINCT
+from test_dynamics import DISTINCT, P
 
 from dice_pareto import (
     FrontArchive,
@@ -48,6 +47,7 @@ from dice_pareto import (
     simulate,
 )
 from dice_pareto import model
+from dice_pareto.errors import ConfigError
 from dice_pareto.harness import format_front_csv, select_representatives
 from dice_pareto.model import _CHECKS, CONSUMPTION_FLOOR, _checked_consumption, discount_factor
 from dice_pareto.nsga2 import _rank_and_crowd
@@ -63,7 +63,7 @@ unit_floats = st.floats(-0.5, 1.5)  # both paths clip genes into [0, 1]
 
 @st.composite
 def genome_batches(draw):
-    H = draw(st.sampled_from([0, 1, 6, 37]))
+    H = draw(st.sampled_from([1, 6, 37]))
     p = ModelParams(H=H, psi1=draw(st.sampled_from([0.0, 0.001, 0.05])))
     n = draw(st.integers(1, 8))
     return p, draw(arrays(float, (n, 2 * H), elements=unit_floats))
@@ -92,7 +92,7 @@ def test_batch_matches_scalar_row_by_row(case):
 
 @st.composite
 def oracle_batches(draw):
-    H = draw(st.sampled_from([0, 1, 6, 10]))
+    H = draw(st.sampled_from([1, 6, 10]))
     n = draw(st.integers(1, 4))
     mu = draw(arrays(float, (n, H), elements=st.floats(0.0, 1.0)))
     # C = Q - s * Q loses relative accuracy in float64 as s nears 1, which
@@ -167,10 +167,10 @@ TABLE_LOOP_CALIBRATIONS = [ModelParams(), ModelParams(gamma=0.5), ModelParams(ga
                            ModelParams(rho=1000.0), SIGNED_ZERO_T_AT]
 
 
-def batch_outcome(genomes, p):
-    """The bytes of ``evaluate_batch``, or its error's message and row."""
+def batch_outcome(genomes, p, score=evaluate_batch):
+    """The bytes of ``score(genomes, p)``, or its error's message and row."""
     try:
-        return evaluate_batch(genomes, p).tobytes()
+        return score(genomes, p).tobytes()
     except ModelDomainError as exc:
         return str(exc), exc.row
 
@@ -191,8 +191,7 @@ def table_calls(draw):
 def test_table_loop_matches_its_reference(calls):
     for p, n, seed in calls:
         genomes = np.random.default_rng(seed).uniform(-0.5, 1.5, (n, 2 * p.H))
-        with mock.patch.object(model, "_table_steps", table_steps_reference):
-            want = batch_outcome(genomes, p)
+        want = batch_outcome(genomes, p, batch_reference)
         assert batch_outcome(genomes, p) == want
 
 
@@ -247,18 +246,22 @@ def test_a_table_step_reads_whole_rows_or_0d_constants(p):
 
 
 def test_a_warm_call_allocates_no_history():
-    # the (H+1, 11, n) history alone is 654 KiB at n = 200; a warm call
-    # reuses its workspace and allocates only whole-horizon temporaries
+    # the (H+1, 15, n) history alone is 891 KiB at n = 200, and one (H, n)
+    # table 58 KiB; a warm call writes its history and whole-horizon terms
+    # into its workspace and peaks at about 176 KiB at n = 200 and 190 KiB at
+    # n = 400: numpy's iteration buffers (up to 64 KiB per operand) for the
+    # operations whose operands broadcast or stride
     p = ModelParams()
-    genomes = np.random.default_rng(4).random((200, 2 * p.H))
-    evaluate_batch(genomes, p)
-    tracemalloc.start()
-    try:
+    for n in (200, 400):
+        genomes = np.random.default_rng(4).random((n, 2 * p.H))
         evaluate_batch(genomes, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 600 * 1024
+        tracemalloc.start()
+        try:
+            evaluate_batch(genomes, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, n
 
 
 def as_bytes(*values):
@@ -298,6 +301,51 @@ def test_signed_zero_peak_is_the_last_of_its_ties():
     assert np.signbit(evaluate_policy(policy, p).T_max)
     peaks = evaluate_batch(genomes, p)[:, 1]
     assert (peaks == 0).all() and np.signbit(peaks).all()
+
+
+# T_max at mu = 1 under the default calibration: every step then emits only
+# its land-use emissions, whatever the saving rates, and the carbon and
+# climate steps are monotone in emissions (non-negative coefficients,
+# forcing rising with M_AT), so no genome in the box peaks lower
+T_MAX_FLOOR = 2.203851932646312
+
+
+def unit_tables(mu=st.floats(0.0, 1.0)):
+    """(n, 2H) genomes at the default calibration: mu genes drawn from ``mu``
+    and s genes from [0, 1]."""
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        arrays(float, (n, P.H), elements=mu), arrays(float, (n, P.H), elements=st.floats(0.0, 1.0))
+    ).map(np.hstack))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_tables())
+def test_the_last_step_controls_never_raise_the_peak_or_lower_welfare(genomes):
+    # mu and s of step H - 1 reach only its emissions and investment, which
+    # first move the states after the horizon, and zeroing them raises the
+    # step's consumption: the last two genes are free for W alone
+    zeroed = genomes.copy()
+    zeroed[:, [P.H - 1, 2 * P.H - 1]] = 0.0
+    scores = evaluate_batch(np.vstack((genomes, zeroed)), P)
+    before, after = np.split(scores, 2)
+    assert after[:, 1].tobytes() == before[:, 1].tobytes()
+    assert (after[:, 0] >= before[:, 0]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(unit_tables(), unit_tables(mu=st.floats(0.95, 1.0))))
+def test_no_genome_peaks_below_full_mitigation(genomes):
+    assert (evaluate_batch(genomes, P)[:, 1] >= T_MAX_FLOOR).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_tables(mu=st.just(1.0)))
+def test_full_mitigation_peaks_at_the_floor_for_any_saving_rates(genomes):
+    constant_s = np.repeat(genomes[:, P.H:P.H + 1], P.H, axis=1)
+    for s in (genomes[:, P.H:], constant_s):
+        genomes[:, P.H:] = s
+        peaks = evaluate_batch(genomes, P)[:, 1]
+        assert peaks.tobytes() == np.full(len(genomes), T_MAX_FLOOR).tobytes()
 
 
 def first_failure(K, M_AT, C):
@@ -386,10 +434,13 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def archives(draw):
+    """Fronts as ``optimize`` writes them: distinct (W, T_max) pairs and genes
+    in [0, 1] (signed zeros and subnormals included)."""
     n = draw(st.integers(1, 6))
     genes = 2 * draw(st.integers(0, 3))
-    objectives = draw(arrays(float, (n, 2), elements=finite_floats))
-    genomes = draw(arrays(float, (n, genes), elements=finite_floats))
+    objectives = np.array(draw(st.lists(st.tuples(finite_floats, finite_floats),
+                                        min_size=n, max_size=n, unique=True)))
+    genomes = draw(arrays(float, (n, genes), elements=st.floats(-0.0, 1.0)))
     order = np.lexsort((-objectives[:, 0], objectives[:, 1]))  # load_front's order
     return FrontArchive(genomes=genomes[order], objectives=objectives[order])
 
@@ -403,6 +454,30 @@ def test_front_file_round_trips_exactly(archive):
         loaded = load_front(path)
     assert loaded.objectives.tobytes() == archive.objectives.tobytes()
     assert loaded.genomes.tobytes() == archive.genomes.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.sampled_from([-0.0, 1.0]),
+                          st.booleans()), min_size=1, max_size=8))
+def test_a_repeated_front_row_names_its_line_and_the_first(rows):
+    # the first row, in file order, whose (W, T_max) an earlier row holds
+    # (+0.0 == -0.0), with blank lines counted
+    text, number, first_lines, want = "W,T_max,mu_0,s_0\n", 1, {}, None
+    for W, T_max, blank_before in rows:
+        number += 1 + blank_before
+        text += "\n" * blank_before + f"{W!r},{T_max!r},0.5,0.5\n"
+        first = first_lines.setdefault((W, T_max), number)
+        if want is None and first != number:
+            want = f"{number}: (W, T_max) repeats line {first}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "front.csv"
+        path.write_text(text)
+        if want is None:
+            assert len(load_front(path)) == len(rows)
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_front(path)
+    assert str(exc.value) == f"{path}:{want}"
 
 
 @st.composite

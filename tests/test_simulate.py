@@ -73,13 +73,15 @@ class TestTrajectoryShape:
             "M_AT": P.M_AT0, "M_UP": P.M_UP0, "M_LO": P.M_LO0, "T_AT": P.T_AT0,
             "T_LO": P.T_LO0}
 
-    def test_zero_horizon_edge(self):
-        p0 = ModelParams(H=0)
-        traj = simulate(PolicyMatrix(np.zeros(0), np.zeros(0)), p0)
-        assert {len(column) for column in traj.states.values()} == {1}
-        assert {len(column) for column in traj.derived.values()} == {0}
-        assert traj.W == 0.0
-        assert traj.T_max == p0.T_AT0
+    def test_one_step_horizon_edge(self):
+        p1 = ModelParams(H=1)
+        traj = simulate(PolicyMatrix(np.zeros(1), np.zeros(1)), p1)
+        assert {len(column) for column in traj.states.values()} == {2}
+        assert {len(column) for column in traj.derived.values()} == {1}
+        assert traj.W == traj.derived["U"][0]  # step 0 is not discounted
+        assert traj.T_max == max(traj.states["T_AT"])
+        np.testing.assert_allclose(evaluate_batch(np.zeros((3, 2)), p1),
+                                   [[traj.W, traj.T_max]] * 3, rtol=1e-14)
 
     def test_horizon_mismatch_is_rejected(self):
         with pytest.raises(ModelDomainError):
