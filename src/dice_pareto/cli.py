@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,6 +22,8 @@ from .harness import (
     COMPARISON_FILE,
     FRONT_FILE,
     RunConfig,
+    _decode_json,
+    _read_input,
     compare_reference,
     format_comparison_csv,
     format_trajectory_csv,
@@ -85,13 +86,12 @@ def _build_parser() -> _Parser:
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
+    changes = {}
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
+        changes["output_dir"] = args.out
     if getattr(args, "representatives", None) is not None:
-        if args.representatives < 2:
-            raise _UsageError("--representatives must be at least 2")
-        cfg.representative_count = args.representatives
-    return cfg
+        changes["representative_count"] = args.representatives
+    return dataclasses.replace(cfg, **changes)
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -111,22 +111,17 @@ def _policy_from_args(args: argparse.Namespace, horizon: int) -> PolicyMatrix:
     if args.policy and has_constant:
         raise _UsageError("give either --policy or --mu/--s, not both")
     if args.policy:
-        try:
-            data = json.loads(Path(args.policy).read_text())
-        except OSError as exc:
-            raise _UsageError(f"cannot read policy file {args.policy}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"{args.policy}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        data = _decode_json(_read_input(args.policy, "policy file"), args.policy)
         if not isinstance(data, dict) or set(data) != {"mu", "s"}:
-            raise _UsageError("policy file must be an object with exactly 'mu' and 's' arrays")
+            raise ConfigError("policy file must be an object with exactly 'mu' and 's' arrays")
         mu, s = data["mu"], data["s"]
         if (not isinstance(mu, list) or not isinstance(s, list)
                 or len(mu) != horizon or len(s) != horizon):
-            raise _UsageError(f"policy arrays must each have H = {horizon} entries")
+            raise ConfigError(f"policy arrays must each have H = {horizon} entries")
         # bool is an int subclass, but true/false are not rates
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
                    for v in mu + s):
-            raise _UsageError("policy entries must be numbers in [0, 1]")
+            raise ConfigError("policy entries must be numbers in [0, 1]")
         return PolicyMatrix(np.array(mu, dtype=float), np.array(s, dtype=float))
     if args.mu is None or args.s is None:
         raise _UsageError("simulate needs --mu and --s, or --policy")
@@ -141,9 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     policy = _policy_from_args(args, cfg.model.H)
     traj = simulate(policy, cfg.model)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "trajectory.csv"
+    target = Path(cfg.output_dir) / "trajectory.csv"
     write_files({target: format_trajectory_csv(traj)})
     print(f"W = {traj.W:.6f}")
     print(f"T_AT_max = {traj.T_max:.6f}")
@@ -153,12 +146,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    engine_overrides = {"rng_seed": _resolve_seed(args, cfg)}
-    if args.iterations is not None:
-        engine_overrides["max_iterations"] = args.iterations
-    if args.population is not None:
-        engine_overrides["population_size"] = args.population
-    cfg.engine = dataclasses.replace(cfg.engine, **engine_overrides)
+    flags = {"rng_seed": _resolve_seed(args, cfg), "max_iterations": args.iterations,
+             "population_size": args.population}
+    engine = dataclasses.replace(cfg.engine, **{name: value for name, value in flags.items()
+                                                if value is not None})
+    cfg = dataclasses.replace(cfg, engine=engine)
     report = run_experiment(cfg)
     persist_report(report, cfg.output_dir)
     rows = report.archive.objectives

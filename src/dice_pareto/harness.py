@@ -52,7 +52,7 @@ class ReferencePoint:
 DEFAULT_REFERENCE_POINTS = (ReferencePoint("MPC", ObjectivePair(W=27.2348, T_max=4.3885)),)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelParams = field(default_factory=ModelParams)
     engine: EngineConfig = field(default_factory=EngineConfig)
@@ -102,21 +102,30 @@ def load_config(path: str | Path) -> RunConfig:
 
     An empty (or whitespace-only) file means "all defaults".
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not text.strip():
-        data: dict[str, Any] = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    text = _read_input(path, "config file")
+    data = _decode_json(text, path) if text.strip() else {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return config_from_dict(data)
+
+
+def _read_input(path: str | Path, what: str) -> str:
+    """The text of an input file; one that cannot be read or decoded (missing,
+    a directory, bytes that are not text) is one ``ConfigError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _decode_json(text: str, path: str | Path) -> Any:
+    """The value of a JSON input file's text; invalid JSON is one ``ConfigError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an overlong integer, deep nesting
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
@@ -269,13 +278,15 @@ def _format_rows(table: np.ndarray) -> list[str]:
 
 
 def write_files(texts: dict[Path, str]) -> list[Path]:
-    """Write each text to its path; returns the paths.
+    """Write each text to its path, making its directory; returns the paths.
 
     Each file is first written to a temporary sibling (``<name>.tmp``), and
     the temporaries replace their targets only after every write has
     succeeded: a failed call removes its temporaries and leaves the files of
     any previous run as they were.
     """
+    for directory in dict.fromkeys(path.parent for path in texts):
+        directory.mkdir(parents=True, exist_ok=True)
     temps = [path.with_name(f"{path.name}.tmp") for path in texts]
     try:
         for temp, text in zip(temps, texts.values()):
@@ -299,7 +310,6 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     pass for this run's; returns the written paths. A failed write removes
     nothing."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     texts = {out / FRONT_FILE: format_front_csv(report.archive)}
     for label, _, traj in report.representatives:
         texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj)
@@ -355,14 +365,12 @@ def load_front(path: str | Path) -> FrontArchive:
     """Read a front file back into an archive (objectives and genomes).
 
     Rows are sorted by (T_max, -W). A row with a missing, extra, non-numeric
-    or non-finite cell, a gene outside [0, 1] or the (W, T_max) of an earlier
-    row is rejected with its line number: ``optimize`` writes none of these.
+    or non-finite cell, a gene outside [0, 1], the (W, T_max) of an earlier
+    row or one that another row dominates is rejected with its line number,
+    checked in that order: ``optimize`` writes none of these.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"front file not found: {path}")
-    lines = [(number, ln) for number, ln in enumerate(path.read_text().splitlines(), 1)
-             if ln.strip()]
+    lines = [(number, ln) for number, ln
+             in enumerate(_read_input(path, "front file").splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
         raise ConfigError(f"front file {path} contains no solutions")
     header = lines[0][1].split(",")
@@ -393,6 +401,14 @@ def load_front(path: str | Path) -> FrontArchive:
         k = repeats[order[repeats + 1].argmin()]
         raise ConfigError(f"{path}:{numbers[order[k + 1]]}: (W, T_max) repeats line "
                           f"{numbers[order[k]]}")
+    # a row is dominated by the rows sorted before it with at least its W:
+    # name the first dominated row in the file and the first row dominating it
+    dominated = np.flatnonzero(table[1:, 0] <= np.maximum.accumulate(table[:-1, 0])) + 1
+    if len(dominated):
+        k = dominated[order[dominated].argmin()]
+        by = np.flatnonzero(table[:k, 0] >= table[k, 0])
+        raise ConfigError(f"{path}:{numbers[order[k]]}: (W, T_max) is dominated by line "
+                          f"{numbers[order[by].min()]}")
     return FrontArchive(genomes=table[:, 2:], objectives=table[:, :2])
 
 

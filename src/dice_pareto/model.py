@@ -367,12 +367,13 @@ def _fail(step: int, row: int | None, message: str) -> NoReturn:
 
 class _Run(NamedTuple):
     """One pass of the recursion: the objectives, the run history (see
-    ``_HISTORY``) and each step's utility."""
+    ``_HISTORY``), each step's utility and the policy-independent paths."""
 
     W: np.ndarray
     T_max: np.ndarray
     history: np.ndarray
     U: np.ndarray  # steps 0..H-1, one row per step
+    ex: _Exogenous
 
 
 class _Terms(NamedTuple):
@@ -622,7 +623,7 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     # W adds the discounted utilities to 0 step by step, in order, so a row's
     # W does not depend on the rows scored with it
     W = np.add.accumulate(welfare, axis=0, out=welfare)[-1]
-    return _Run(W=W, T_max=T_max, history=history, U=U)
+    return _Run(W=W, T_max=T_max, history=history, U=U, ex=ex)
 
 
 def _genome(policy: PolicyMatrix, p: ModelParams) -> np.ndarray:
@@ -642,7 +643,7 @@ def simulate(policy: PolicyMatrix, p: ModelParams) -> Trajectory:
     ``ModelDomainError`` naming step i.
     """
     run = _recursion(_genome(policy, p), p)
-    ex = _exogenous(p)
+    ex = run.ex
     columns = dict(zip(_HISTORY, run.history.T))
     states = {name: columns[name] for name in _HISTORY[:6]}
     states.update(L=np.array(ex.L), A=np.array(ex.A), sigma=np.array(ex.sigma),

@@ -19,11 +19,14 @@ The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 
 Ranking: one algorithm, ``_peel``, peels fronts in numpy from one visiting
 order of the rows. ``non_dominated_sort`` ranks every front of the initial
-population with it. Survivors: the parents and the scored children are
-merged, whole fronts are kept while they fit and the front that overflows is
-cut by crowding. Only the fronts down to that cut are peeled, and only their
-rows are crowded; the rows behind the cut are never ranked. The survivors,
-their order, rank and crowding are those the full ranking gives.
+population with it. Crowding: ``crowding_distance`` runs one stable sort
+per objective on each front's rows in ascending row order, front by front
+as in Deb et al. (2002). Survivors: the parents and the scored
+children are merged, whole fronts are kept while they fit and the front that
+overflows is cut by crowding. Only the fronts down to that cut are peeled,
+and only their rows are crowded; the rows behind the cut are never ranked.
+The survivors, their order, rank and crowding are those the full ranking
+gives.
 
 Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
 (n, 2) table of (W, T_max). The engine calls it once on the initial
@@ -55,7 +58,7 @@ BLEND_LOW = -0.1
 BLEND_HIGH = 1.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Algorithm settings; defaults follow the reference experiment setup."""
 
@@ -136,43 +139,30 @@ def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) ->
     """Per-objective normalized neighbor gaps within each front, summed over both objectives.
 
     ``rank`` gives each row's front (as from ``non_dominated_sort``); without
-    it the whole table is one front. Each objective, in minimization form
-    (-W, then T_max), is sorted once by (front, value) with a stable sort, so
-    rows tied in value keep ascending row order: of the rows tied at a
-    front's least value the first is its boundary, and of those tied at its
-    greatest value the last. Boundary rows get +inf, and so does every row of
-    a front of one or two; an objective with zero range in a front adds
-    nothing to its interior rows. A non-finite objective raises
+    it the whole table is one front. Each front's rows, in ascending row
+    order, are crowded on their own: each objective, in minimization form
+    (-W, then T_max), is sorted with a stable sort, so of the rows tied at
+    the front's least value the first is its boundary, and of those tied at
+    its greatest value the last. Boundary rows get +inf, and so does every
+    row of a front of one or two; an objective with zero range in a front
+    adds nothing to its interior rows. A non-finite objective raises
     ``EngineError`` naming its row.
     """
     _require_finite(objectives)
-    n = len(objectives)
-    d = np.zeros(n)
-    if n == 0:
-        return d
-    if rank is None:  # one front: a stable sort by value alone
-        for column in (-objectives[:, 0], objectives[:, 1]):
-            order = np.argsort(column, kind="stable")
-            vals = column[order]
-            d[order[[0, -1]]] = np.inf
+    rank = np.ones(len(objectives), dtype=int) if rank is None else rank
+    d = np.zeros(len(objectives))
+    order = np.argsort(rank, kind="stable")  # each front's rows in ascending row order
+    fronts = rank[order]
+    cuts = [0, *(np.flatnonzero(fronts[1:] != fronts[:-1]) + 1).tolist(), len(order)]
+    for start, stop in zip(cuts, cuts[1:]) if len(order) else ():
+        rows = order[start:stop]
+        for column in (-objectives[rows, 0], objectives[rows, 1]):
+            sort = np.argsort(column, kind="stable")
+            vals, by_value = column[sort], rows[sort]
+            d[by_value[[0, -1]]] = np.inf
             span = vals[-1] - vals[0]
             if span > 0:
-                d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
-        return d
-    fronts = np.sort(rank)
-    edge = np.ones(n + 1, dtype=bool)  # edge[k]: a front starts at sorted position k
-    edge[1:n] = fronts[1:] != fronts[:-1]
-    starts = np.flatnonzero(edge)
-    first, last = starts[:-1], starts[1:] - 1
-    interior = ~(edge[1:n - 1] | edge[2:n])  # sorted positions 1..n-2 inside their front
-    for column in (-objectives[:, 0], objectives[:, 1]):
-        order = np.lexsort((column, rank))
-        vals = column[order]
-        d[order[first]] = np.inf
-        d[order[last]] = np.inf
-        span = np.repeat(vals[last] - vals[first], np.diff(starts))[1:-1]
-        gaps = interior & (span > 0)
-        d[order[1:-1][gaps]] += (vals[2:] - vals[:-2])[gaps] / span[gaps]
+                d[by_value[1:-1]] += (vals[2:] - vals[:-2]) / span
     return d
 
 
@@ -311,7 +301,7 @@ def _next_population(objectives: np.ndarray,
     rank = _peel(objectives, target)
     ranked = np.flatnonzero(rank)
     rank = rank[ranked]
-    crowding = crowding_distance(objectives[ranked], None if rank.max() == 1 else rank)
+    crowding = crowding_distance(objectives[ranked], rank)
     keep = _survivors(rank, crowding, target)
     return ranked[keep], rank[keep], crowding[keep]
 

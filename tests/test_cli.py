@@ -390,6 +390,93 @@ class TestReport:
         assert not (out / "comparison.csv").exists()
 
 
+def _spoil(path, case):
+    """Make ``path`` an input file that cannot be used, in the way ``case`` names."""
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b'{"mu": [0.5]}\xff\n')
+    elif case == "invalid JSON":
+        path.write_text('{\n  "mu": ,\n}\n')  # the decoder stops on line 2
+    elif case == "deeply nested":
+        path.write_text("[" * 100_000)
+    elif case == "overlong integer":
+        path.write_text("1" * 5000)
+
+
+READ_FAILURES = ["missing", "directory", "undecodable"]
+JSON_FAILURES = READ_FAILURES + ["invalid JSON", "deeply nested", "overlong integer"]
+
+
+class TestInputFiles:
+    """Every input file that cannot be read, decoded or parsed is one
+    ``config error:`` line naming it, with exit 1 and no output written."""
+
+    @staticmethod
+    def _assert_one_line_naming(capsys, path, case):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert len(err.splitlines()) == 1
+        if case == "invalid JSON":
+            assert f"{path}:2: invalid JSON" in err
+
+    @pytest.mark.parametrize("case", JSON_FAILURES)
+    def test_config_file(self, tmp_path, capsys, case):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        _spoil(cfg, case)
+        assert run_cli("optimize", "--config", str(cfg), "--out", str(out)) == 1
+        self._assert_one_line_naming(capsys, cfg, case)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", JSON_FAILURES)
+    def test_policy_file(self, tmp_path, tiny_cfg, capsys, case):
+        policy, out = tmp_path / "policy.json", tmp_path / "sim"
+        _spoil(policy, case)
+        assert run_cli("simulate", "--config", tiny_cfg, "--policy", str(policy),
+                       "--out", str(out)) == 1
+        self._assert_one_line_naming(capsys, policy, case)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", READ_FAILURES)
+    def test_front_file(self, tmp_path, capsys, case):
+        run = tmp_path / "run"
+        run.mkdir()
+        _spoil(run / "front.csv", case)
+        assert run_cli("report", "--out", str(run)) == 1
+        self._assert_one_line_naming(capsys, run / "front.csv", case)
+        assert not (run / "comparison.csv").exists()
+
+    def test_policy_file_content_is_a_config_error(self, tmp_path, tiny_cfg, capsys):
+        policy, out = tmp_path / "policy.json", tmp_path / "sim"
+        policy.write_text(json.dumps({"mu": [0.5] * 5}))
+        assert run_cli("simulate", "--config", tiny_cfg, "--policy", str(policy),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == ("config error: policy file must be an object "
+                                           "with exactly 'mu' and 's' arrays\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "report"])
+    def test_one_representative_is_a_config_error(self, tmp_path, tiny_cfg, capsys, command):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "front.csv").write_text("W,T_max,mu_0,s_0\n1.0,2.0,0.5,0.5\n")
+        assert run_cli(command, "--config", tiny_cfg, "--out", str(out),
+                       "--representatives", "1") == 1
+        assert capsys.readouterr().err == (
+            "config error: representative_count must be an integer >= 2, got 1\n")
+        assert [path.name for path in out.iterdir()] == ["front.csv"]
+
+    def test_report_rejects_a_dominated_row(self, tmp_path, capsys):
+        cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+        cfg.write_text(json.dumps({"model": {"H": 1}}))
+        run.mkdir()
+        (run / "front.csv").write_text("W,T_max,mu_0,s_0\n1,2,0.5,0.5\n1,3,0.5,0.5\n")
+        assert run_cli("report", "--config", str(cfg), "--out", str(run)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {run / 'front.csv'}:3: (W, T_max) is dominated by line 2\n")
+        assert [path.name for path in run.iterdir()] == ["front.csv"]
+
+
 class TestDispatch:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("explode") == 1

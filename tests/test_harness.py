@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -427,3 +428,12 @@ class TestRunConfigDefaults:
         cfg = RunConfig()
         assert cfg.reference_points == (MPC,)
         assert cfg.representative_count == 6
+
+    @pytest.mark.parametrize("config_class, name", [(RunConfig, "representative_count"),
+                                                    (EngineConfig, "population_size")])
+    def test_settings_are_checked_once_and_frozen(self, config_class, name):
+        # a changed setting is a new instance, checked by __post_init__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config_class(), name, 1)
+        with pytest.raises(ConfigError, match=name):
+            dataclasses.replace(config_class(), **{name: 1})

@@ -434,15 +434,16 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def archives(draw):
-    """Fronts as ``optimize`` writes them: distinct (W, T_max) pairs and genes
-    in [0, 1] (signed zeros and subnormals included)."""
+    """Fronts as ``optimize`` writes them, in ``load_front``'s order: sorted
+    distinct T_max values paired with sorted distinct W values, so no row
+    dominates another, and genes in [0, 1] (signed zeros and subnormals
+    included)."""
     n = draw(st.integers(1, 6))
     genes = 2 * draw(st.integers(0, 3))
-    objectives = np.array(draw(st.lists(st.tuples(finite_floats, finite_floats),
-                                        min_size=n, max_size=n, unique=True)))
+    W, T_max = (sorted(draw(st.lists(finite_floats, min_size=n, max_size=n, unique=True)))
+                for _ in range(2))
     genomes = draw(arrays(float, (n, genes), elements=st.floats(-0.0, 1.0)))
-    order = np.lexsort((-objectives[:, 0], objectives[:, 1]))  # load_front's order
-    return FrontArchive(genomes=genomes[order], objectives=objectives[order])
+    return FrontArchive(genomes=genomes, objectives=np.column_stack((W, T_max)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,6 +470,15 @@ def test_a_repeated_front_row_names_its_line_and_the_first(rows):
         first = first_lines.setdefault((W, T_max), number)
         if want is None and first != number:
             want = f"{number}: (W, T_max) repeats line {first}"
+    # without a repeat: the first row, in file order, that another row
+    # dominates, and the first row that dominates it
+    rows_by_line = {line: row for row, line in first_lines.items()}
+    for line, (W, T_max) in rows_by_line.items() if want is None else ():
+        by = [other for other, (W_o, T_o) in rows_by_line.items()
+              if W_o >= W and T_o <= T_max and (W_o, T_o) != (W, T_max)]
+        if by:
+            want = f"{line}: (W, T_max) is dominated by line {by[0]}"
+            break
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "front.csv"
         path.write_text(text)

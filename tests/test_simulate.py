@@ -178,6 +178,15 @@ class TestPurity:
         pol = constant_policy(0.9, 0.31)
         assert evaluate_policy(pol, P) == evaluate_policy(pol, P)
 
+    def test_simulate_looks_up_the_exogenous_paths_once(self, monkeypatch):
+        import dice_pareto.model as model
+
+        calls = []
+        lookup = model._exogenous
+        monkeypatch.setattr(model, "_exogenous", lambda p: calls.append(p) or lookup(p))
+        simulate(constant_policy(0.5, 0.25), P)
+        assert calls == [P]
+
 
 class TestAccountingIdentities:
     @pytest.mark.parametrize("mu,s", [(0.0, 0.25), (0.5, 0.1), (1.0, 0.9), (0.8, 0.0)])
