@@ -84,10 +84,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built on the first call, then shared: every config class is frozen
+_default_config = functools.cache(RunConfig)
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    for flag in ("config", "out"):  # every command takes both
+        if getattr(args, flag) == "":
+            raise _UsageError(f"--{flag} must not be empty")
+    cfg = _default_config() if args.config is None else load_config(args.config)
     changes = {}
-    if getattr(args, "out", None):
+    if args.out is not None:
         changes["output_dir"] = args.out
     if getattr(args, "representatives", None) is not None:
         changes["representative_count"] = args.representatives

@@ -28,10 +28,10 @@ place, with the operations of ``residual_intensity``, ``abatement_fraction``
 and ``utility`` in their order, into one set of arrays (``_Terms``): new
 ones for one genome, the workspace's for a table.
 
-* One genome (2H,) steps on numpy scalars through the kernels and appends a
-  row of 13 columns per step. ``simulate`` and ``evaluate_policy`` run it on
-  one policy (``cli simulate``, representatives); ``simulate`` names the
-  history's columns in a ``Trajectory``.
+* One genome (2H,) steps on Python floats, the kernels' operations written
+  out, and appends a row of 13 columns per step. ``simulate`` and
+  ``evaluate_policy`` run it on one policy (``cli simulate``, representatives);
+  ``simulate`` names the history's columns in a ``Trajectory``.
 * An (n, 2H) table steps on length-n rows. Step i writes its C into box i
   of one (H+1, 15, n) history and the states after it into box i + 1. The
   six linear states advance as one stacked array, each row (head + middle)
@@ -46,13 +46,13 @@ ones for one genome, the workspace's for a table.
   horizon, 408,480 at n = 60 and 1,361,600 at n = 200. An ``lru_cache``
   keeps the 8 most recently used.
 
-The cost of either loop is numpy's per-call dispatch, not arithmetic: an
-operation on numpy scalars costs about 0.2 us and one on a short array about
-0.5 us, whatever its length, or twice that when an operand broadcasts a (k, 1)
-column or strides. A table's step makes 17 array calls (46 before the
-stacking, 25 before the workspace, 22 before the row layout below), each on
-C-contiguous blocks of whole rows or on 0-d constants, written through a
-prebuilt view with ``out``, with the ufuncs read from locals. Calls of one
+The cost of a table's loop is numpy's per-call dispatch, not arithmetic: an
+operation on a short array costs about 0.5 us, whatever its length, or twice
+that when an operand broadcasts a (k, 1) column or strides (0.06 us on numpy
+scalars, 0.02 us on Python floats). A table's step makes 17 array calls (46
+before the stacking, 25 before the workspace, 22 before the row layout below),
+each on C-contiguous blocks of whole rows or on 0-d constants, written through
+a prebuilt view with ``out``, with the ufuncs read from locals. Calls of one
 form run on stacked rows, laid out so that each operand is one block:
 
     box i of the history (15 rows)      shared rows (58 per workspace)
@@ -69,8 +69,8 @@ form run on stacked rows, laid out so that each operand is one block:
 
 An array call with a Python-float operand pays for numpy 2's weak-scalar
 conversion (about 0.75 against 0.48 us with a 0-d array operand at n = 60), so
-a table's step reads 0-d constants. One genome keeps the scalar kernels: run
-as a one-row table it took 1.28 ms against 0.33 ms on numpy scalars. The
+a table's step reads 0-d constants. ``evaluate_policy`` took 0.33 ms as a
+one-row table, 0.19 ms on numpy scalars and 0.11 ms on Python floats. The
 policy-independent paths (population, TFP, emission intensity, land-use
 emissions, and the per-step terms built from them) come from one cache keyed
 on the frozen ``ModelParams``, filled on first use with the scalar step
@@ -461,21 +461,44 @@ def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray,
 
 
 def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
-    """The step loop of one genome, on numpy scalars; returns its history."""
-    K, M_AT, M_UP, M_LO, T_AT, T_LO = (
-        np.float64(v) for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
+    """The step loop of one genome, on Python floats; returns its history.
+
+    A step makes the operations of the kernels from ``gross_output`` to
+    ``step_capital`` in their order, on locals. Python floats round +, -, *
+    and / as numpy's float64 scalars do; three operations differ and are
+    guarded, so the history is bit for bit that of numpy scalars. K ** gamma
+    raises on overflow and, for K <= 0, may raise or turn complex: numpy's
+    scalar power takes those. 1 / D raises at D = 0, where numpy gives inf.
+    log2 stays numpy's, since ``math.log2`` rounds some quotients differently.
+    """
+    gamma, psi1, psi2, F_2x, M_AT_1750, xi1, xi2, dt = (
+        p.gamma, p.psi1, p.psi2, p.F_2x, p.M_AT_1750, p.xi1, p.xi2, p.dt)
+    zeta11, zeta12, zeta21, zeta22, zeta23, zeta32, zeta33 = (
+        p.zeta11, p.zeta12, p.zeta21, p.zeta22, p.zeta23, p.zeta32, p.zeta33)
+    phi11, phi12, phi21, phi22 = p.phi11, p.phi12, p.phi21, p.phi22
+    depreciation, log2 = (1.0 - p.delta_K) ** dt, np.log2
+    K, M_AT, M_UP, M_LO, T_AT, T_LO = map(float, (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0,
+                                                  p.T_LO0))
     history = []
-    for i in range(len(kept)):
-        Y = gross_output(ex.A[i], K, ex.labour[i], p)
-        Omega = damage_factor(T_AT, p)
-        Q = kept[i] * Omega * Y
-        I = s[i] * Q
-        E = total_emissions(residual[i], Y, ex.E_Land[i])
-        F = radiative_forcing(M_AT, ex.forcing[i], p)
+    for A, labour, E_Land, forcing, kept_i, s_i, residual_i in zip(
+            ex.A, ex.labour, ex.E_Land, ex.forcing, kept.tolist(), s.tolist(), residual.tolist()):
+        try:
+            K_gamma = K**gamma if K > 0.0 else float(np.float64(K) ** gamma)
+        except OverflowError:
+            K_gamma = float(np.float64(K) ** gamma)
+        Y = A * K_gamma * labour
+        D = 1.0 + psi1 * T_AT + psi2 * T_AT * T_AT  # 1.0 + x is never -0.0
+        Omega = 1.0 / D if D else math.inf
+        Q = kept_i * Omega * Y
+        I = s_i * Q
+        E = residual_i * Y + E_Land
+        F = F_2x * float(log2(M_AT / M_AT_1750)) + forcing
         history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO, I, F, Q - I, Y, Omega, Q, E))
-        M_AT, M_UP, M_LO = step_carbon(M_AT, M_UP, M_LO, E, p)
-        T_AT, T_LO = step_climate(T_AT, T_LO, F, p)
-        K = step_capital(K, I, p)
+        M_AT, M_UP, M_LO = (zeta11 * M_AT + zeta12 * M_UP + xi2 * E * dt,
+                            zeta21 * M_AT + zeta22 * M_UP + zeta23 * M_LO,
+                            zeta32 * M_UP + zeta33 * M_LO)
+        T_AT, T_LO = phi11 * T_AT + phi12 * T_LO + xi1 * F, phi21 * T_AT + phi22 * T_LO
+        K = depreciation * K + I * dt
     history.append((K, M_AT, M_UP, M_LO, T_AT, T_LO) + (math.nan,) * 7)  # no step
     return np.array(history)
 

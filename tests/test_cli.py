@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from test_harness import BAD_REFERENCE_POINTS
 
-from dice_pareto.cli import _build_parser, main
+from dice_pareto.cli import _build_parser, _default_config, main
+from dice_pareto.harness import RunConfig
 
 TINY = {
     "model": {"H": 5},
@@ -496,6 +497,35 @@ class TestDispatch:
         assert run_cli("simulate", "--config", tiny_cfg, "--policy", str(policy),
                        "--out", str(tmp_path / "file")) == 0
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--mu", "0.5", "--s", "0.25"),
+        ("optimize", "--population", "4", "--iterations", "0"),
+        ("report",)], ids=lambda command: command[0])
+    def test_an_empty_path_flag_is_one_usage_error_line(self, tmp_path, monkeypatch, capsys,
+                                                        command, flag):
+        # nothing is written, not even into the config's out/
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*command, flag, "") == 1
+        assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flags_do_not_reach_the_next_call(self, tmp_path, monkeypatch, capsys):
+        # calls without --config share one default RunConfig
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("optimize", "--population", "8", "--iterations", "2", "--seed", "3",
+                       "--representatives", "2", "--out", "run") == 0
+        assert sorted(path.name for path in Path("run").glob("trajectory_*")) == [
+            "trajectory_A.csv", "trajectory_B.csv"]
+        assert run_cli("report", "--out", "run") == 0
+        rows = Path("run/comparison.csv").read_text().splitlines()
+        labels = [row.split(",")[0] for row in rows]
+        assert labels == ["name", "A", "B", "C", "D", "E", "F", "MPC"]  # 6 of 8 front rows
+        assert run_cli("simulate", "--mu", "0.5", "--s", "0.25") == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "run"]
+        assert _default_config() is _default_config()
+        assert _default_config() == RunConfig()
 
     def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
         assert run_cli("simulate", "--mu", "abc") == 1

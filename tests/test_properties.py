@@ -17,7 +17,9 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,11 +162,16 @@ SIGNED_ZERO_T_AT = ModelParams(T_AT0=0.0, T_LO0=-1.0, xi1=0.0, phi11=-0.5, phi12
 # gamma = 0.5 and 2 take numpy's sqrt and square fast paths for K ** gamma;
 # psi1 = 0 is the default; p_b = 20000, zeta11 = -1 and gamma = 1.5 make rows
 # fail in K, M_AT and C; rho = 1000 stops the exogenous paths at step 21; in
-# SIGNED_ZERO_T_AT the peak is a tie of +0.0 and -0.0
+# SIGNED_ZERO_T_AT the peak is a tie of +0.0 and -0.0. The last four guard
+# the operations that Python floats do not take as numpy scalars do: a zero
+# damage divisor at step 0 (1 + psi1 T_AT0 = 0), a negative and a zero
+# gamma, and K = 0 at step 1 under a negative gamma (delta_K = 1 and s = 0)
 TABLE_LOOP_CALIBRATIONS = [ModelParams(), ModelParams(gamma=0.5), ModelParams(gamma=2.0),
                            ModelParams(psi1=0.05), DISTINCT, ModelParams(p_b=20000.0),
                            ModelParams(zeta11=-1.0), ModelParams(gamma=1.5),
-                           ModelParams(rho=1000.0), SIGNED_ZERO_T_AT]
+                           ModelParams(rho=1000.0), SIGNED_ZERO_T_AT,
+                           ModelParams(T_AT0=-1.0, psi1=1.0, psi2=0.0), ModelParams(gamma=-0.5),
+                           ModelParams(gamma=0.0), ModelParams(delta_K=1.0, gamma=-0.5)]
 
 
 def batch_outcome(genomes, p, score=evaluate_batch):
@@ -268,7 +275,28 @@ def as_bytes(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-@settings(max_examples=120, deadline=None)
+GENOME_STEPS = model._genome_steps
+
+
+def strictly(run, policy, p):
+    """``run(policy, p)`` with every warning raised as an error, checking
+    that its step loop returned a float64 history (a complex power would
+    make it complex128)."""
+    histories = []
+
+    def steps(*args):
+        histories.append(GENOME_STEPS(*args))
+        return histories[-1]
+
+    with warnings.catch_warnings(), mock.patch.object(model, "_genome_steps", steps):
+        warnings.simplefilter("error")
+        try:
+            return run(policy, p)
+        finally:
+            assert [history.dtype for history in histories] == [np.float64]
+
+
+@settings(max_examples=160, deadline=None)
 @given(st.sampled_from(TABLE_LOOP_CALIBRATIONS), st.integers(0, 2**32 - 1))
 def test_genome_loop_matches_its_reference(p, seed):
     policy = PolicyMatrix.from_genome(np.random.default_rng(seed).uniform(-0.5, 1.5, 2 * p.H))
@@ -277,12 +305,12 @@ def test_genome_loop_matches_its_reference(p, seed):
     except ModelDomainError as exc:
         for run in (simulate, evaluate_policy):
             with pytest.raises(ModelDomainError) as got:
-                run(policy, p)
+                strictly(run, policy, p)
             assert (str(got.value), got.value.row) == (str(exc), None)
         return
-    traj = simulate(policy, p)
+    traj = strictly(simulate, policy, p)
     assert as_bytes(traj.W, traj.T_max) == as_bytes(W, T_max)
-    assert as_bytes(*evaluate_policy(policy, p)) == as_bytes(W, T_max)
+    assert as_bytes(*strictly(evaluate_policy, policy, p)) == as_bytes(W, T_max)
     got = {**traj.states, **traj.derived}
     assert list(got) == list(columns)
     for name, column in columns.items():
