@@ -13,7 +13,6 @@ from .params import ModelParams
 from .model import (
     ObjectivePair,
     PolicyMatrix,
-    Trajectory,
     evaluate_batch,
     evaluate_policy,
     simulate,
@@ -24,7 +23,6 @@ from .nsga2 import (
     crossover,
     crowding_distance,
     evolve,
-    initialize_population,
     mutate,
     non_dominated_sort,
     tournament_select,
@@ -51,14 +49,12 @@ __all__ = [
     "PolicyMatrix",
     "ReferencePoint",
     "RunConfig",
-    "Trajectory",
     "compare_reference",
     "crossover",
     "crowding_distance",
     "evaluate_batch",
     "evaluate_policy",
     "evolve",
-    "initialize_population",
     "load_config",
     "load_front",
     "mutate",

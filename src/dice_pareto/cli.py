@@ -89,8 +89,8 @@ _default_config = functools.cache(RunConfig)
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    for flag in ("config", "out"):  # every command takes both
-        if getattr(args, flag) == "":
+    for flag in ("config", "out", "policy"):  # only simulate takes --policy
+        if getattr(args, flag, None) == "":
             raise _UsageError(f"--{flag} must not be empty")
     cfg = _default_config() if args.config is None else load_config(args.config)
     changes = {}
@@ -115,9 +115,9 @@ def _resolve_seed(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _policy_from_args(args: argparse.Namespace, horizon: int) -> PolicyMatrix:
     has_constant = args.mu is not None or args.s is not None
-    if args.policy and has_constant:
+    if args.policy is not None and has_constant:
         raise _UsageError("give either --policy or --mu/--s, not both")
-    if args.policy:
+    if args.policy is not None:
         data = _decode_json(_read_input(args.policy, "policy file"), args.policy)
         if not isinstance(data, dict) or set(data) != {"mu", "s"}:
             raise ConfigError("policy file must be an object with exactly 'mu' and 's' arrays")

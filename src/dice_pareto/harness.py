@@ -136,8 +136,8 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     model = ModelParams.from_dict(data.get("model", {}))
     engine = EngineConfig.from_dict(data.get("engine", {}))
     output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     count = data.get("representative_count", 6)
     if _number(count, "representative_count") != int(count):
         raise ConfigError(f"representative_count must be an integer, got {count!r}")
@@ -202,6 +202,8 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         "versions": {
             "dice_pareto": __version__,
             "numpy": np.__version__,
+            # the SIMD dispatch: numpy's vectorised power rounds by it
+            "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"],
             "python": platform.python_version(),
         },
     }

@@ -21,30 +21,33 @@ input's rank returns the run's history, one row per state index 0..H (see
 ``_HISTORY``), which ``_recursion`` reads once: it checks K > 0, M_AT > 0 and
 C > 0 for every step and row, one reduction each, and only on a failure
 looks for the first one to name it; it takes the T_AT peak in one
-reduction, and sums the discounted utilities step by step. So the per-step
-kernels below take floats or arrays alike and never raise. The whole-horizon
-terms, from the clipped genes to the discounted utilities, are written in
-place, with the operations of ``residual_intensity``, ``abatement_fraction``
-and ``utility`` in their order, into one set of arrays (``_Terms``): new
-ones for one genome, the workspace's for a table.
+reduction, and sums the discounted utilities step by step. So neither step
+loop raises. The whole-horizon terms, from the clipped genes to the
+discounted utilities, are written in place into one set of arrays
+(``_Terms``): new ones for one genome, the workspace's for a table.
 
-* One genome (2H,) steps on Python floats, the kernels' operations written
-  out, and appends a row of 13 columns per step. ``simulate`` and
+Each formula of a step is stated here only where the recursion runs it: in
+the two step loops and the whole-horizon terms around them. The tests hold
+these bit for bit to the step kernels of ``tests/oracle.py``, from
+``gross_output`` to ``utility``, whose operations they make in their order.
+
+* One genome (2H,) steps on Python floats, the recursion written out on
+  locals, and appends a row of 13 columns per step. ``simulate`` and
   ``evaluate_policy`` run it on one policy (``cli simulate``, representatives);
   ``simulate`` names the history's columns in a ``Trajectory``.
 * An (n, 2H) table steps on length-n rows. Step i writes its C into box i
   of one (H+1, 15, n) history and the states after it into box i + 1. The
   six linear states advance as one stacked array, each row (head + middle)
-  + tail of the products of ``step_capital``, ``step_carbon`` and
-  ``step_climate`` in their order, so the stacked step gives bit for bit
-  what those kernels give on the same rows. ``evaluate_batch`` runs it on
-  the whole population, once per generation. The history and every other
-  array the call writes, the whole-horizon terms included, live in a
-  workspace (``_Workspace``) built on the first call for a ``ModelParams``,
-  width n and thread and reused by later calls, so a warm call looks up one
-  cache and allocates no (H, n) array: 6808 * n bytes for the 37-step
-  horizon, 408,480 at n = 60 and 1,361,600 at n = 200. An ``lru_cache``
-  keeps the 8 most recently used.
+  + tail of the products of the capital, carbon and climate steps in their
+  order, so on the same rows it gives those steps' values bit for bit (the
+  oracle's ``step_capital``, ``step_carbon`` and ``step_climate``).
+  ``evaluate_batch`` runs it on the whole population, once per generation.
+  The history and every other array the call writes, the whole-horizon
+  terms included, live in a workspace (``_Workspace``) built on the first
+  call for a ``ModelParams``, width n and thread and reused by later calls,
+  so a warm call looks up one cache and allocates no (H, n) array: 6808 * n
+  bytes for the 37-step horizon, 408,480 at n = 60 and 1,361,600 at
+  n = 200. An ``lru_cache`` keeps the 8 most recently used.
 
 The cost of a table's loop is numpy's per-call dispatch, not arithmetic: an
 operation on a short array costs about 0.5 us, whatever its length, or twice
@@ -186,11 +189,6 @@ def step_tfp(A: float, i: int, p: ModelParams) -> float:
     return A / denom
 
 
-def gross_output(A: float, K: float, labour: float, p: ModelParams) -> float:
-    """Cobb-Douglas gross output in trillions/yr; ``labour`` is ``labour_factor(L, p)``."""
-    return A * K**p.gamma * labour
-
-
 def labour_factor(L: float, p: ModelParams) -> float:
     """Labour input of gross output, (L/1000) ** (1 - gamma), with L in millions.
 
@@ -198,11 +196,6 @@ def labour_factor(L: float, p: ModelParams) -> float:
     built around that scaling and keeps output near 105 trillion USD/yr in 2015.
     """
     return (L / 1000.0) ** (1.0 - p.gamma)
-
-
-def damage_factor(T_AT: float, p: ModelParams) -> float:
-    """Multiplicative output-loss factor from temperature deviation, in (0, 1]."""
-    return 1.0 / (1.0 + p.psi1 * T_AT + p.psi2 * T_AT * T_AT)
 
 
 def mitigation_cost_theta1(sigma: float, i: int, p: ModelParams) -> float:
@@ -215,11 +208,6 @@ def abatement_fraction(mu: float, theta1: float, p: ModelParams) -> float:
     return theta1 * mu**p.theta2
 
 
-def step_capital(K: float, I: float, p: ModelParams) -> float:
-    """Advance capital: depreciate over dt years and add the invested flow."""
-    return (1.0 - p.delta_K) ** p.dt * K + I * p.dt
-
-
 def step_emission_intensity(sigma: float, i: int, p: ModelParams) -> float:
     """Advance emission intensity; strictly decreasing toward 0 for sigma > 0."""
     return sigma / math.exp(p.dt * p.g_sigma * (1.0 - p.delta_sigma) ** (i * p.dt))
@@ -230,57 +218,9 @@ def land_emissions(i: int, p: ModelParams) -> float:
     return p.E_L0 * (1.0 - p.delta_EL) ** i
 
 
-def residual_intensity(sigma: float, mu: float) -> float:
-    """Emission intensity left after mitigation at rate mu."""
-    return sigma * (1.0 - mu)
-
-
-def total_emissions(residual: float, Y: float, E_Land: float) -> float:
-    """Emissions from economic activity, at the ``residual_intensity`` left
-    after mitigation, plus land use."""
-    return residual * Y + E_Land
-
-
-def step_carbon(
-    M_AT: float, M_UP: float, M_LO: float, E: float, p: ModelParams
-) -> tuple[float, float, float]:
-    """Advance the three carbon reservoirs.
-
-    Emissions enter the atmosphere box only, as xi2 * E * dt: E is a rate in
-    GtCO2/yr accumulated over the dt-year step and converted to GtC.
-    """
-    M_AT1 = p.zeta11 * M_AT + p.zeta12 * M_UP + p.xi2 * E * p.dt
-    M_UP1 = p.zeta21 * M_AT + p.zeta22 * M_UP + p.zeta23 * M_LO
-    M_LO1 = p.zeta32 * M_UP + p.zeta33 * M_LO
-    return M_AT1, M_UP1, M_LO1
-
-
 def exogenous_forcing(i: int, p: ModelParams) -> float:
     """Non-CO2 forcing: ramps from f0 to f1 over t_f steps, then stays at f1."""
     return p.f0 + min((p.f1 - p.f0) * i / p.t_f, p.f1 - p.f0)
-
-
-def radiative_forcing(M_AT: float, exogenous: float, p: ModelParams) -> float:
-    """Total forcing: logarithmic in atmospheric carbon plus the exogenous term
-    ``exogenous_forcing(i, p)``."""
-    return p.F_2x * np.log2(M_AT / p.M_AT_1750) + exogenous
-
-
-def step_climate(T_AT: float, T_LO: float, F: float, p: ModelParams) -> tuple[float, float]:
-    """Advance the two temperature states; forcing acts on the atmosphere only."""
-    T_AT1 = p.phi11 * T_AT + p.phi12 * T_LO + p.xi1 * F
-    T_LO1 = p.phi21 * T_AT + p.phi22 * T_LO
-    return T_AT1, T_LO1
-
-
-def utility(C: float, L: float, p: ModelParams) -> float:
-    """Population-weighted isoelastic utility of per-capita consumption.
-
-    Per-capita consumption is expressed in thousands of 2010 USD per person
-    per year (C in trillions, L in millions).
-    """
-    cpc = 1000.0 * C / L
-    return L * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha)
 
 
 def discount_factor(i: int, p: ModelParams) -> float:
@@ -463,8 +403,8 @@ def _checked_consumption(K: np.ndarray, M_AT: np.ndarray, C: np.ndarray,
 def _genome_steps(ex: _Exogenous, kept, s, residual, p: ModelParams) -> np.ndarray:
     """The step loop of one genome, on Python floats; returns its history.
 
-    A step makes the operations of the kernels from ``gross_output`` to
-    ``step_capital`` in their order, on locals. Python floats round +, -, *
+    A step makes the operations of the oracle's kernels from ``gross_output``
+    to ``step_capital`` in their order, on locals. Python floats round +, -, *
     and / as numpy's float64 scalars do; three operations differ and are
     guarded, so the history is bit for bit that of numpy scalars. K ** gamma
     raises on overflow and, for K <= 0, may raise or turn complex: numpy's
@@ -564,10 +504,10 @@ def _table_steps(ws: _Workspace) -> np.ndarray:
 
     Step i reads box i of the history and the shared rows (see the module
     docstring) and writes the next states into box i + 1, each (head +
-    middle) + tail in the order of its kernel: K's middle and the M_LO and
-    T_LO tails are -0.0, and x + -0.0 is x for every x. Every kernel's
-    operations keep their order and operands (a single * or + may take its
-    two operands swapped), so the values are those of the kernels bit for bit.
+    middle) + tail in the order of the oracle's kernel: K's middle and the
+    M_LO and T_LO tails are -0.0, and x + -0.0 is x for every x. Every
+    kernel's operations keep their order and operands (a single * or + may
+    take its two operands swapped), so the values are the kernels' bit for bit.
     """
     (gathered, coefficients, products, K_gamma, one_heads, psi1_T_middles, sums, psi2_T_K_gamma,
      Y_F_2x_log, F_2x_log_sum, F_D, D, Omega, Omega_Y, kept_Omega_residual_Y, kept_Omega, Y, Q,
@@ -589,7 +529,7 @@ def _table_steps(ws: _Workspace) -> np.ndarray:
         divide(one, D, Omega)
         multiply(kept_residual, Omega_Y, kept_Omega_residual_Y)
         multiply(kept_Omega, Y, Q)
-        add(E, E_Land, E)  # residual * Y + E_Land: total_emissions
+        add(E, E_Land, E)  # emissions E = residual * Y + E_Land
         multiply(xi2_s, E_Q, xi2_E_I)
         subtract(Q, I, C)
         multiply(tail_coefficients, M_LO_xi2_E_I_F, tail_products)
@@ -616,8 +556,8 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     (ex, (theta1, sigma, L, discount), mu, _, s, kept, residual, welfare, theta2,
      one_minus_alpha) = ws.terms if shape else _terms(p, ())
     subtract, multiply, divide, power = np.subtract, np.multiply, np.divide, np.power
-    # the genes clipped to [0, 1], then the operations of residual_intensity
-    # and of 1 - abatement_fraction in their order
+    # the genes clipped to [0, 1], then the residual intensity sigma * (1 - mu)
+    # and the kept share 1 - abatement_fraction, each in its formula's order
     steps = len(mu)
     genomes[..., :steps].T.clip(0.0, 1.0, mu)
     genomes[..., p.H:p.H + steps].T.clip(0.0, 1.0, s)
@@ -635,7 +575,7 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     if ex.failure is not None:
         _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
     T_max = history[:, t].max(axis=0)
-    # the operations of utility(C, L, p) in their order
+    # utility L * ((1000 * C / L) ** (1 - alpha) - 1) / (1 - alpha), in this order
     multiply(1000.0, U, U)
     divide(U, L, U)
     power(U, one_minus_alpha, U)

@@ -1,19 +1,89 @@
 """Independent references for the tests: a high-precision re-derivation of
-the DICE-2016R recursion, Pareto dominance of two objective pairs,
-brute-force front ranks with front-by-front crowding distance, earlier forms
-of the model's policy terms and two step loops, and a row-by-row scan that
-picks representatives.
+the DICE-2016R recursion, the per-step kernels of the recursion, Pareto
+dominance of two objective pairs, brute-force front ranks with
+front-by-front crowding distance, earlier forms of the model's policy terms
+and two step loops, and a row-by-row scan that picks representatives.
 
 ``resimulate`` restates every constant literally, independent of the params
 module, and advances the full state recursion with mpmath at 40 digits,
-sharing no code with the implementation under test. The step-loop
-references share the model's kernels and differ from its loops only in
-their bookkeeping."""
+sharing no code with the implementation under test. The kernels state each
+formula of one step on its own, on floats or arrays alike, and never raise;
+the model's two step loops make their operations in their order. The
+step-loop references call the kernels and differ from the model's loops
+only in their bookkeeping."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 from mpmath import mp, mpf
+
+if TYPE_CHECKING:
+    from dice_pareto.params import ModelParams
+
+
+def gross_output(A: float, K: float, labour: float, p: ModelParams) -> float:
+    """Cobb-Douglas gross output in trillions/yr; ``labour`` is ``labour_factor(L, p)``."""
+    return A * K**p.gamma * labour
+
+
+def damage_factor(T_AT: float, p: ModelParams) -> float:
+    """Multiplicative output-loss factor from temperature deviation, in (0, 1]."""
+    return 1.0 / (1.0 + p.psi1 * T_AT + p.psi2 * T_AT * T_AT)
+
+
+def step_capital(K: float, I: float, p: ModelParams) -> float:
+    """Advance capital: depreciate over dt years and add the invested flow."""
+    return (1.0 - p.delta_K) ** p.dt * K + I * p.dt
+
+
+def residual_intensity(sigma: float, mu: float) -> float:
+    """Emission intensity left after mitigation at rate mu."""
+    return sigma * (1.0 - mu)
+
+
+def total_emissions(residual: float, Y: float, E_Land: float) -> float:
+    """Emissions from economic activity, at the ``residual_intensity`` left
+    after mitigation, plus land use."""
+    return residual * Y + E_Land
+
+
+def step_carbon(
+    M_AT: float, M_UP: float, M_LO: float, E: float, p: ModelParams
+) -> tuple[float, float, float]:
+    """Advance the three carbon reservoirs.
+
+    Emissions enter the atmosphere box only, as xi2 * E * dt: E is a rate in
+    GtCO2/yr accumulated over the dt-year step and converted to GtC.
+    """
+    M_AT1 = p.zeta11 * M_AT + p.zeta12 * M_UP + p.xi2 * E * p.dt
+    M_UP1 = p.zeta21 * M_AT + p.zeta22 * M_UP + p.zeta23 * M_LO
+    M_LO1 = p.zeta32 * M_UP + p.zeta33 * M_LO
+    return M_AT1, M_UP1, M_LO1
+
+
+def radiative_forcing(M_AT: float, exogenous: float, p: ModelParams) -> float:
+    """Total forcing: logarithmic in atmospheric carbon plus the exogenous term
+    ``exogenous_forcing(i, p)``."""
+    return p.F_2x * np.log2(M_AT / p.M_AT_1750) + exogenous
+
+
+def step_climate(T_AT: float, T_LO: float, F: float, p: ModelParams) -> tuple[float, float]:
+    """Advance the two temperature states; forcing acts on the atmosphere only."""
+    T_AT1 = p.phi11 * T_AT + p.phi12 * T_LO + p.xi1 * F
+    T_LO1 = p.phi21 * T_AT + p.phi22 * T_LO
+    return T_AT1, T_LO1
+
+
+def utility(C: float, L: float, p: ModelParams) -> float:
+    """Population-weighted isoelastic utility of per-capita consumption.
+
+    Per-capita consumption is expressed in thousands of 2010 USD per person
+    per year (C in trillions, L in millions).
+    """
+    cpc = 1000.0 * C / L
+    return L * (cpc ** (1.0 - p.alpha) - 1.0) / (1.0 - p.alpha)
 
 
 def dominates(a, b) -> bool:
@@ -25,6 +95,29 @@ def dominates(a, b) -> bool:
     if not (a.W >= b.W and a.T_max <= b.T_max):
         return False
     return a.W > b.W or a.T_max < b.T_max
+
+
+# (W, T_max) reference point of ``hypervolume``: below every front's W and
+# above every front's T_max for the default calibration
+HYPERVOLUME_REFERENCE = (217000.0, 5.5)
+
+
+def hypervolume(objectives, reference=HYPERVOLUME_REFERENCE) -> float:
+    """Exact area of the (W, T_max) region that the rows of ``objectives``
+    dominate, bounded by ``reference``: W maximized, T_max minimized
+    (Zitzler & Thiele 1999).
+
+    Sweep from the highest W down: each row inside the reference box whose
+    T_max undercuts every row seen adds the strip between its T_max and the
+    lowest one before it.
+    """
+    w_ref, t_ref = reference
+    area, lowest = 0.0, t_ref
+    for w, t in sorted(map(tuple, objectives), key=lambda wt: (-wt[0], wt[1])):
+        if w > w_ref and t < lowest:
+            area += (w - w_ref) * (lowest - t)
+            lowest = t
+    return area
 
 
 STATE_NAMES = ("L", "A", "K", "sigma", "E_Land", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO")
@@ -168,7 +261,7 @@ def policy_terms_reference(genomes, theta1, sigma, p):
     rate s and the residual emission intensity, one row per step, from genes
     clipped to [0, 1] with ``np.clip``. ``theta1`` and ``sigma`` are
     ``_Exogenous.columns`` in the rank of ``genomes``."""
-    from dice_pareto.model import abatement_fraction, residual_intensity
+    from dice_pareto.model import abatement_fraction
 
     steps = len(theta1)
     mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
@@ -184,8 +277,7 @@ def table_steps_reference(ex, kept, s, residual, p):
     indexed per step. Like ``model._table_steps`` it returns a
     (steps + 1, len(_BOX), n) history holding the states and C in the rows
     that ``model._BOX`` names."""
-    from dice_pareto.model import (_BOX, damage_factor, gross_output, radiative_forcing,
-                                   total_emissions)
+    from dice_pareto.model import _BOX
 
     steps, n = kept.shape
     coefficients = np.repeat(linear_coefficients(p)[:, None], n, axis=1)
@@ -219,7 +311,7 @@ def batch_reference(genomes, p):
     policy-term tables, ``table_steps_reference`` for the loop, a floored copy
     of C, and ``utility`` over new tables. Returns the (n, 2) table of
     (W, T_max) or raises the same ``ModelDomainError``."""
-    from dice_pareto.model import _READS, _checked_consumption, _exogenous, _fail, utility
+    from dice_pareto.model import _READS, _checked_consumption, _exogenous, _fail
 
     ex = _exogenous(p)
     theta1, sigma, L, discount = ex.columns
@@ -243,9 +335,7 @@ def genome_steps_reference(ex, kept, s, residual, p):
     flows, the checked values and the peaks each go to a list, the checks run
     on the checked list and the peak is one reduction over the peaks list.
     Returns the checked consumption path, T_max, the states and the flows."""
-    from dice_pareto.model import (_checked_consumption, damage_factor, gross_output,
-                                   radiative_forcing, step_capital, step_carbon, step_climate,
-                                   total_emissions)
+    from dice_pareto.model import _checked_consumption
 
     K, M_AT, M_UP, M_LO, T_AT, T_LO = (
         np.float64(v) for v in (p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0))
@@ -274,7 +364,7 @@ def simulate_reference(policy, p):
     """``model.simulate`` as it was built on ``genome_steps_reference``:
     returns W, T_max and a dict of every trajectory column, or raises the
     same ``ModelDomainError``."""
-    from dice_pareto.model import _exogenous, _fail, abatement_fraction, utility
+    from dice_pareto.model import _exogenous, _fail, abatement_fraction
 
     ex = _exogenous(p)
     theta1, sigma, L, discount = ex.columns[..., 0]

@@ -511,6 +511,29 @@ class TestDispatch:
         assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("controls", [(), ("--mu", "0.5", "--s", "0.25")],
+                             ids=["alone", "with-constants"])
+    def test_an_empty_policy_flag_is_one_usage_error_line(self, tmp_path, monkeypatch, capsys,
+                                                          controls):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", *controls, "--policy", "") == 1
+        assert capsys.readouterr().err == "error: --policy must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--mu", "0.5", "--s", "0.25"),
+        ("optimize", "--population", "4", "--iterations", "0"),
+        ("report",)], ids=lambda command: command[0])
+    def test_an_empty_output_dir_is_one_config_error_line(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        # nothing is written into the working directory
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"output_dir": ""}))
+        assert run_cli(*command, "--config", "cfg.json") == 1
+        assert capsys.readouterr().err == (
+            "config error: output_dir must be a non-empty string, got ''\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_flags_do_not_reach_the_next_call(self, tmp_path, monkeypatch, capsys):
         # calls without --config share one default RunConfig
         monkeypatch.chdir(tmp_path)

@@ -282,6 +282,12 @@ class TestPersistence:
         assert np.array_equal(loaded.objectives, report.archive.objectives)
         assert np.array_equal(loaded.genomes, report.archive.genomes)
 
+    def test_metadata_names_numpys_simd_dispatch(self, tmp_path):
+        # the bytes of a run depend on it: numpy's vectorised power rounds by it
+        persist_report(run_experiment(tiny_config(tmp_path)), tmp_path / "run")
+        versions = json.loads((tmp_path / "run" / "metadata.json").read_text())["versions"]
+        assert versions["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
+
     def test_failed_write_keeps_the_previous_run(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         persist_report(run_experiment(tiny_config(tmp_path)), out)

@@ -22,7 +22,6 @@ from dice_pareto import (
     evaluate_batch,
     evaluate_policy,
     evolve,
-    initialize_population,
     mutate,
     non_dominated_sort,
     tournament_select,
@@ -31,6 +30,7 @@ from dice_pareto.nsga2 import (
     _next_population,
     _peel,
     _survivors,
+    initialize_population,
 )
 
 
