@@ -52,6 +52,12 @@ class ReferencePoint:
 DEFAULT_REFERENCE_POINTS = (ReferencePoint("MPC", ObjectivePair(W=27.2348, T_max=4.3885)),)
 
 
+def _check_output_dir(value: object) -> None:
+    # "" would silently mean the working directory
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"output_dir must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelParams = field(default_factory=ModelParams)
@@ -61,6 +67,7 @@ class RunConfig:
     reference_points: tuple[ReferencePoint, ...] = DEFAULT_REFERENCE_POINTS
 
     def __post_init__(self) -> None:
+        _check_output_dir(self.output_dir)
         if not self.reference_points:
             raise ConfigError("reference_points must hold at least one point")
         names = set()
@@ -135,9 +142,6 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
     model = ModelParams.from_dict(data.get("model", {}))
     engine = EngineConfig.from_dict(data.get("engine", {}))
-    output_dir = data.get("output_dir", "out")
-    if not (isinstance(output_dir, str) and output_dir):
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     count = data.get("representative_count", 6)
     if _number(count, "representative_count") != int(count):
         raise ConfigError(f"representative_count must be an integer, got {count!r}")
@@ -147,7 +151,7 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     return RunConfig(
         model=model,
         engine=engine,
-        output_dir=output_dir,
+        output_dir=data.get("output_dir", "out"),
         representative_count=int(count),
         **references,
     )
@@ -310,7 +314,11 @@ def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     ``write_files``, then remove every ``trajectory_*.csv`` in ``out_dir``
     that this run did not write, so an earlier run's representatives do not
     pass for this run's; returns the written paths. A failed write removes
-    nothing."""
+    nothing. A string ``out_dir`` is checked as ``RunConfig.output_dir`` is;
+    a ``Path`` is taken as it is (pathlib already reads ``Path("")`` as
+    ``Path(".")``)."""
+    if not isinstance(out_dir, Path):
+        _check_output_dir(out_dir)
     out = Path(out_dir)
     texts = {out / FRONT_FILE: format_front_csv(report.archive)}
     for label, _, traj in report.representatives:
@@ -415,5 +423,7 @@ def load_front(path: str | Path) -> FrontArchive:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the run's settings: where the run is written is not one."""
+    settings = {key: value for key, value in cfg.to_dict().items() if key != "output_dir"}
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

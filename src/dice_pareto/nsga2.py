@@ -18,25 +18,31 @@ The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 (W, T_max), with per-row rank and crowding arrays carried alongside.
 
 Ranking: one algorithm, ``_peel``, peels fronts in numpy from one visiting
-order of the rows. ``non_dominated_sort`` ranks every front of the initial
-population with it. Crowding: ``crowding_distance`` runs one stable sort
-per objective on each front's rows in ascending row order, front by front
-as in Deb et al. (2002). Survivors: the parents and the scored
-children are merged, whole fronts are kept while they fit and the front that
-overflows is cut by crowding. Only the fronts down to that cut are peeled,
-and only their rows are crowded; the rows behind the cut are never ranked.
-The survivors, their order, rank and crowding are those the full ranking
-gives.
+order of the rows: W descending, then T_max ascending, ties in row order.
+``non_dominated_sort`` ranks every front of the initial population with it.
+Crowding: ``crowding_distance`` runs one stable sort per objective on each
+front's rows in ascending row order, front by front as in Deb et al.
+(2002); it crowds the initial population. Survivors: the parents and the
+scored children are merged, whole fronts are kept while they fit and the
+front that overflows is cut by crowding. Only the fronts down to that cut
+are peeled, and only their rows are crowded; the rows behind the cut are
+never ranked. They are crowded with no sort of their own: of two rows of
+one front that differ, the one of greater W has the greater T_max, so a
+front's visits in the peel's order are its stable order of -W, and the
+same visits with each chain of equal rows reversed in place, then all
+reversed, are its stable order of T_max. The survivors, their order, rank
+and crowding are those the full ranking gives.
 
 Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
 (n, 2) table of (W, T_max). The engine calls it once on the initial
 population and once per generation on all new offspring and mutants
 together, after every draw of that generation; an empty batch is not sent.
-A failed evaluation raises an ``EngineError`` that names the generation (0
+The batch is read-only, and no later generation changes it. A failed
+evaluation raises an ``EngineError`` that names the generation (0
 for the initial population) and the batch row at fault: the ``row`` of an
 exception that carries one (``ModelDomainError`` from
 ``model.evaluate_batch`` does), else row 0, or the first row with a
-non-finite objective. It carries that row's genome as ``genome``.
+non-finite objective. It carries a copy of that row's genome as ``genome``.
 """
 
 from __future__ import annotations
@@ -132,7 +138,7 @@ def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
     naming its row.
     """
     _require_finite(objectives)
-    return _peel(objectives, len(objectives))
+    return _peel(objectives, len(objectives))[0]
 
 
 def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
@@ -156,14 +162,19 @@ def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) ->
     cuts = [0, *(np.flatnonzero(fronts[1:] != fronts[:-1]) + 1).tolist(), len(order)]
     for start, stop in zip(cuts, cuts[1:]) if len(order) else ():
         rows = order[start:stop]
-        for column in (-objectives[rows, 0], objectives[rows, 1]):
-            sort = np.argsort(column, kind="stable")
-            vals, by_value = column[sort], rows[sort]
-            d[by_value[[0, -1]]] = np.inf
-            span = vals[-1] - vals[0]
-            if span > 0:
-                d[by_value[1:-1]] += (vals[2:] - vals[:-2]) / span
+        _crowd(d, objectives, rows[(-objectives[rows, 0]).argsort(kind="stable")],
+               rows[objectives[rows, 1].argsort(kind="stable")])
     return d
+
+
+def _crowd(d: np.ndarray, objectives: np.ndarray, by_w: np.ndarray, by_t: np.ndarray) -> None:
+    """Add to ``d`` one front's crowding from its rows in the stable orders of -W and of
+    T_max: per order, +inf at both ends and each inner row's normalized neighbor gap."""
+    for by_value, vals in ((by_w, -objectives[by_w, 0]), (by_t, objectives[by_t, 1])):
+        d[by_value[[0, -1]]] = np.inf
+        span = vals[-1] - vals[0]
+        if span > 0:
+            d[by_value[1:-1]] += (vals[2:] - vals[:-2]) / span
 
 
 def tournament_select(
@@ -251,9 +262,10 @@ def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, crowding_distance(objectives, rank)
 
 
-def _peel(objectives: np.ndarray, target: int) -> np.ndarray:
+def _peel(objectives: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Front ranks of an (n, 2) table down to the front where at least
-    ``target`` rows (or all n) are ranked; 0 for the rows behind it.
+    ``target`` rows (or all n) are ranked, 0 for the rows behind it, with
+    the visiting order and the sizes of its chains in that order.
 
     Rows are visited by W descending, then T_max ascending, ties in row
     order, so a row can only be dominated by rows visited before it. Equal
@@ -270,8 +282,8 @@ def _peel(objectives: np.ndarray, target: int) -> np.ndarray:
     bounds = np.ones(n + 1, dtype=bool)  # bounds[k]: a chain starts at visit k
     np.not_equal(w[1:], w[:-1], out=bounds[1:n])
     bounds[1:n] |= t[1:] != t[:-1]
-    bounds = np.flatnonzero(bounds)
-    sizes = np.diff(bounds)
+    bounds = bounds.nonzero()[0]
+    sizes = bounds[1:] - bounds[:-1]
     t = t[bounds[:-1]]  # the heads' T_max
     low = np.full(len(t) + 1, np.inf)  # low[i]: least T_max of unranked heads before head i
     head_rank = np.zeros(len(t), dtype=int)
@@ -281,11 +293,11 @@ def _peel(objectives: np.ndarray, target: int) -> np.ndarray:
         np.minimum.accumulate(t, out=low[1:])
         drops = t < low[:-1]
         head_rank[drops] = front
-        ranked += sizes.sum(where=drops)
+        ranked += np.add.reduce(sizes, where=drops)
         t[drops] = np.inf
     rank = np.empty(n, dtype=int)
-    rank[order] = np.repeat(head_rank, sizes)
-    return rank
+    rank[order] = head_rank.repeat(sizes)
+    return rank, order, sizes
 
 
 def _next_population(objectives: np.ndarray,
@@ -294,14 +306,21 @@ def _next_population(objectives: np.ndarray,
     rank and crowding: the same rows, order and bytes as ``_rank_and_crowd``
     followed by ``_survivors``.
 
-    ``_peel`` ranks the fronts down to the cut, and only their rows, in
-    ascending row order, are crowded and cut: the crowding of a front and
-    the cut depend on no row behind it.
+    ``_peel`` ranks the fronts down to the cut, and only their rows are
+    crowded, each front from the peel's visiting order (see the module
+    docstring), and cut: the crowding of a front and the cut depend on no
+    row behind it.
     """
-    rank = _peel(objectives, target)
-    ranked = np.flatnonzero(rank)
-    rank = rank[ranked]
-    crowding = crowding_distance(objectives[ranked], rank)
+    rank, order, sizes = _peel(objectives, target)
+    # each visit's mirror in its chain of equal rows: chains reversed in place
+    mirror = order[(2 * sizes.cumsum() - sizes - 1).repeat(sizes) - np.arange(len(order))]
+    fronts = rank[order]
+    crowding = np.zeros(len(order))
+    for front in range(1, fronts.max(initial=0) + 1):
+        visits = fronts == front
+        _crowd(crowding, objectives, order[visits], mirror[visits][::-1])
+    ranked = rank.nonzero()[0]
+    rank, crowding = rank[ranked], crowding[ranked]
     keep = _survivors(rank, crowding, target)
     return ranked[keep], rank[keep], crowding[keep]
 
@@ -312,13 +331,13 @@ def _survivors(rank: np.ndarray, crowding: np.ndarray, target: int) -> np.ndarra
     Whole fronts are kept while they fit, each in ascending row order; the
     overflowing front is cut by descending crowding, ties in row order.
     """
-    order = np.argsort(rank, kind="stable")
+    order = rank.argsort(kind="stable")
     if len(order) <= target:
         return order
     cut_rank = rank[order[target]]
     whole = order[rank[order] < cut_rank]
-    cut = np.flatnonzero(rank == cut_rank)
-    cut = cut[np.argsort(-crowding[cut], kind="stable")]
+    cut = (rank == cut_rank).nonzero()[0]
+    cut = cut[(-crowding[cut]).argsort(kind="stable")]
     return np.concatenate((whole, cut[: target - len(whole)]))
 
 

@@ -282,6 +282,17 @@ class TestPersistence:
         assert np.array_equal(loaded.objectives, report.archive.objectives)
         assert np.array_equal(loaded.genomes, report.archive.genomes)
 
+    @pytest.mark.parametrize("value", ["", None])
+    def test_an_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch, value):
+        report = run_experiment(tiny_config(tmp_path))
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        with pytest.raises(ConfigError) as exc:
+            persist_report(report, value)
+        # the check RunConfig makes of its output_dir
+        assert str(exc.value) == f"output_dir must be a non-empty string, got {value!r}"
+        assert list((tmp_path / "cwd").iterdir()) == []
+
     def test_metadata_names_numpys_simd_dispatch(self, tmp_path):
         # the bytes of a run depend on it: numpy's vectorised power rounds by it
         persist_report(run_experiment(tiny_config(tmp_path)), tmp_path / "run")
@@ -391,6 +402,10 @@ class TestPersistence:
         assert config_hash(cfg_a) == config_hash(cfg_b)
         cfg_c = tiny_config(tmp_path, representative_count=4)
         assert config_hash(cfg_a) != config_hash(cfg_c)
+        # where a run is written is not part of its configuration
+        cfg_d = tiny_config(tmp_path, output_dir=str(tmp_path / "elsewhere"))
+        assert cfg_d.output_dir != cfg_a.output_dir
+        assert config_hash(cfg_a) == config_hash(cfg_d)
 
 
 # values whose text could differ between %-formatting and format(): special
@@ -434,6 +449,12 @@ class TestRunConfigDefaults:
         cfg = RunConfig()
         assert cfg.reference_points == (MPC,)
         assert cfg.representative_count == 6
+
+    @pytest.mark.parametrize("value", ["", None, 5])
+    def test_output_dir_must_be_a_non_empty_string(self, value):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(output_dir=value)
+        assert str(exc.value) == f"output_dir must be a non-empty string, got {value!r}"
 
     @pytest.mark.parametrize("config_class, name", [(RunConfig, "representative_count"),
                                                     (EngineConfig, "population_size")])

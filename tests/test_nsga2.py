@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -211,9 +213,15 @@ def grid_tables(draw, max_rows):
 def assert_peeled(objectives, target):
     """``_peel`` ranks the fronts down to the least one that holds, with the
     fronts before it, at least ``target`` rows (or all), as the full ranking
-    does, and leaves every later row unranked; returns its rank."""
+    does, and leaves every later row unranked; it hands over its visiting
+    order (W descending, then T_max ascending, ties in row order) and the
+    sizes of its chains of equal rows in that order; returns its rank."""
     rank = brute_force_rank(objectives)
-    peeled = _peel(objectives, target)
+    peeled, order, sizes = _peel(objectives, target)
+    visits = sorted(range(len(objectives)), key=lambda i: (-objectives[i, 0], objectives[i, 1]))
+    assert order.tolist() == visits
+    chains = itertools.groupby(tuple(objectives[i]) for i in visits)
+    assert sizes.tolist() == [len(list(chain)) for _, chain in chains]
     cut = peeled.max()
     ranked = peeled > 0
     assert peeled.dtype == rank.dtype
@@ -223,12 +231,37 @@ def assert_peeled(objectives, target):
     return peeled
 
 
+def merged(front, dominated, order):
+    """A merged population of (W, T_max) rows, front 1 first, put in ``order``,
+    with N, half its rows, and the size of front 1: as ``merged_populations``
+    draws them."""
+    rows = np.array(front + dominated, dtype=float)[order]
+    return rows, len(rows) // 2, len(front)
+
+
+STAIRCASE = [(4.0, 4.0), (3.0, 3.0), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0)]
+
+
 class TestSurvivorShortcut:
     """Survivor selection ranks, crowds and cuts only the fronts down to the
     survivor cut; it must keep what ranking every row keeps."""
 
     @settings(max_examples=400, deadline=None)
     @given(merged_populations())
+    # front 1 of N + 1 rows
+    @example(merged(STAIRCASE[:2] + [(2.0, 1.5), (1.0, 1.0), (0.0, 0.0)],
+                    [(3.0, 4.5), (1.0, 2.0), (-1.0, 0.5)], [5, 2, 7, 0, 3, 6, 1, 4]))
+    # front 1 of 2N rows
+    @example(merged([(7.0, 7.0), (6.0, 6.5), (5.0, 5.0), (4.0, 4.0), (3.0, 3.5), (2.0, 2.0),
+                     (1.0, 1.0), (0.0, 0.0)], [], [3, 6, 0, 5, 2, 7, 4, 1]))
+    # a chain of two equal rows at each end of front 1, apart in row order
+    @example(merged([(3.0, 3.0), (3.0, 3.0), (2.0, 2.0), (1.0, 1.5), (0.0, 0.0), (0.0, 0.0)],
+                    [(2.0, 2.5), (0.5, 1.5)], [0, 4, 6, 2, 5, 1, 7, 3]))
+    # three interior rows tied at crowding 1.0 for the two places left at the cut
+    @example(merged(STAIRCASE, [(3.0, 3.5), (2.0, 2.5), (-1.0, 1.0)], [6, 3, 0, 7, 2, 5, 1, 4]))
+    # front 1 of exactly N rows
+    @example(merged(STAIRCASE[1:], [(3.0, 4.5), (2.0, 4.0), (1.0, 3.0), (-1.0, 0.5)],
+                    [4, 0, 5, 1, 6, 2, 7, 3]))
     def test_matches_the_full_ranking(self, drawn):
         objectives, N, size = drawn
         rank = non_dominated_sort(objectives)
@@ -237,6 +270,7 @@ class TestSurvivorShortcut:
         # a front 1 of N - 1 rows (drawn for every N) puts the cut behind it
         assert (cut >= 2) == (size < N)
         event(f"cut at front {cut}")
+        event("front 1 over N rows" if size > N else "front 1 of N rows or fewer")
         assert_same_survivors(objectives, N)
 
     @settings(max_examples=300, deadline=None)
@@ -259,8 +293,8 @@ class TestSurvivorShortcut:
         # rows 1, 3, 4 are equal and in front 1; rows 0, 2, 5 are equal and
         # dominated by row 6, whose T_max they share
         objectives = min_rows((-1, 2), (-3, 1), (-1, 2), (-3, 1), (-3, 1), (-1, 2), (-4, 2))
-        assert _peel(objectives, 4).tolist() == [0, 1, 0, 1, 1, 0, 1]
-        assert _peel(objectives, 5).tolist() == [2, 1, 2, 1, 1, 2, 1]
+        assert _peel(objectives, 4)[0].tolist() == [0, 1, 0, 1, 1, 0, 1]
+        assert _peel(objectives, 5)[0].tolist() == [2, 1, 2, 1, 1, 2, 1]
 
     def test_a_front_one_that_fits_exactly_keeps_row_order(self):
         # crowding would put the boundary rows 0 and 3 first
@@ -508,16 +542,17 @@ class TestEvolve:
         calls = []
         ranking = ["non_dominated_sort", "crowding_distance"]
         variation = ["tournament_select", "crossover", "mutate"]
-        for name in ranking + variation:
+        for name in ranking + variation + ["_next_population"]:
             def counted(*args, _name=name, _op=getattr(engine, name)):
                 calls.append(_name)
                 return _op(*args)
             monkeypatch.setattr(engine, name, counted)
         evolve(_small_cfg(max_iterations=3), _small_evaluator, SMALL_MODEL.H,
                np.random.default_rng(3))
-        # the initial ranking, then variation and one crowding per generation:
-        # the fronts down to the survivor cut are ranked without the public sort
-        assert calls == ranking + (variation + ["crowding_distance"]) * 3
+        # the initial ranking, then variation and one survivor selection per
+        # generation: the fronts down to the survivor cut are ranked and
+        # crowded from the peel's order, without the public sort or crowding
+        assert calls == ranking + (variation + ["_next_population"]) * 3
 
     def test_a_filled_front_one_skips_the_ranking(self, monkeypatch):
         import dice_pareto.nsga2 as engine
@@ -531,7 +566,8 @@ class TestEvolve:
         # every row scores alike, so the merged front 1 holds all 2N rows
         evolve(_small_cfg(max_iterations=3), lambda genomes: np.zeros((len(genomes), 2)),
                SMALL_MODEL.H, np.random.default_rng(3))
-        assert calls == ["non_dominated_sort"] + ["crowding_distance"] * 4
+        # and is crowded from the peel's order, not by crowding_distance
+        assert calls == ["non_dominated_sort", "crowding_distance"]
 
     def test_phase_functions_stay_public(self):
         # the benchmark's tracer times the engine's phases by these names
@@ -564,7 +600,7 @@ class TestEvolve:
         archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
         # the initial population's full ranking, then one peel per generation
         assert len(peeled) == cfg.max_iterations + 1
-        assert all(len(rank) == 4 and rank.min() >= 1 for rank in peeled)
+        assert all(len(rank) == 4 and rank.min() >= 1 for rank, _, _ in peeled)
         monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
         monkeypatch.setattr(engine, "_next_population", full_ranking_survivors)
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
@@ -607,6 +643,25 @@ class TestEvolve:
             best_w.append(rows[:, 0].max())
         assert all(a >= b for a, b in zip(best_t, best_t[1:]))
         assert all(a <= b for a, b in zip(best_w, best_w[1:]))
+
+    def test_every_batch_is_read_only_and_a_failure_copies_its_genome(self):
+        # an evaluator may keep its batches: no later generation changes them
+        batches, seen = [], []
+
+        def keeps_the_batch(genomes):
+            batches.append(genomes)
+            seen.append(genomes.tobytes())
+            if len(batches) == 3:
+                raise ModelDomainError("step 0, row 1: boom", row=1)
+            return _small_evaluator(genomes)
+
+        with pytest.raises(EngineError) as exc_info:
+            evolve(_small_cfg(), keeps_the_batch, SMALL_MODEL.H, np.random.default_rng(3))
+        assert [batch.flags.writeable for batch in batches] == [False] * 3
+        assert [batch.tobytes() for batch in batches] == seen
+        genome = exc_info.value.genome
+        assert genome.tobytes() == batches[2][1].tobytes()
+        assert not np.shares_memory(genome, batches[2])
 
     def test_evaluator_failure_carries_offending_genome(self):
         def broken(genomes):
