@@ -205,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelDomainError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"runtime error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -136,25 +136,21 @@ def _decode_json(text: str, path: str | Path) -> Any:
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
-    allowed = {"model", "engine", "output_dir", "representative_count", "reference_points"}
-    unknown = sorted(set(data) - allowed)
+    """Settings from a config file's mapping; an absent field keeps its default."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    unknown = sorted(set(data) - set(names))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    model = ModelParams.from_dict(data.get("model", {}))
-    engine = EngineConfig.from_dict(data.get("engine", {}))
-    count = data.get("representative_count", 6)
+    read = {"model": ModelParams.from_dict, "engine": EngineConfig.from_dict,
+            "representative_count": _integer_count, "reference_points": _parse_reference_points}
+    return RunConfig(**{name: read.get(name, lambda value: value)(data[name])
+                        for name in names if name in data})
+
+
+def _integer_count(count: Any) -> int:
     if _number(count, "representative_count") != int(count):
         raise ConfigError(f"representative_count must be an integer, got {count!r}")
-    references = {}
-    if "reference_points" in data:
-        references["reference_points"] = _parse_reference_points(data["reference_points"])
-    return RunConfig(
-        model=model,
-        engine=engine,
-        output_dir=data.get("output_dir", "out"),
-        representative_count=int(count),
-        **references,
-    )
+    return int(count)
 
 
 def _parse_reference_points(raw: Any) -> tuple[ReferencePoint, ...]:
@@ -271,15 +267,15 @@ def compare_reference(
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# the text of every float written: 17 significant digits read back exactly
+_FLOAT = "%.17g"
 
 
 def _format_rows(table: np.ndarray) -> list[str]:
-    """Each row of a float table as one line of ``_fmt`` cells, formatted with
-    one ``%`` template per row (the same text, fewer calls); rows are
-    converted one at a time so no whole-table list of floats is built."""
-    template = ",".join(["%.17g"] * table.shape[1])
+    """Each row of a float table as one line of ``_FLOAT`` cells, formatted
+    with one ``%`` template per row; rows are converted one at a time so no
+    whole-table list of floats is built."""
+    template = ",".join([_FLOAT] * table.shape[1])
     return [template % tuple(row.tolist()) for row in table]
 
 
@@ -355,7 +351,7 @@ def format_trajectory_csv(traj: Trajectory) -> str:
     lines = [",".join(TRAJECTORY_COLUMNS)]
     lines += _format_rows(np.column_stack([column[:H] for column in columns]))
     final = [float(column[H]) for column in columns if len(column) > H]  # the states
-    lines.append(",".join("%.17g" if len(column) > H else "" for column in columns)
+    lines.append(",".join(_FLOAT if len(column) > H else "" for column in columns)
                  % tuple(final))
     return "\n".join(lines) + "\n"
 
@@ -367,7 +363,7 @@ def format_comparison_csv(rows: Sequence[dict[str, Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            row[col] if col == "name" else _fmt(row[col]) for col in header))
+            row[col] if col == "name" else _FLOAT % row[col] for col in header))
     return "\n".join(lines) + "\n"
 
 

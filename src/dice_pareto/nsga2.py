@@ -19,19 +19,18 @@ The population is a pair of arrays: genomes (N, 2H) and objectives (N, 2) of
 
 Ranking: one algorithm, ``_peel``, peels fronts in numpy from one visiting
 order of the rows: W descending, then T_max ascending, ties in row order.
-``non_dominated_sort`` ranks every front of the initial population with it.
-Crowding: ``crowding_distance`` runs one stable sort per objective on each
-front's rows in ascending row order, front by front as in Deb et al.
-(2002); it crowds the initial population. Survivors: the parents and the
-scored children are merged, whole fronts are kept while they fit and the
-front that overflows is cut by crowding. Only the fronts down to that cut
-are peeled, and only their rows are crowded; the rows behind the cut are
-never ranked. They are crowded with no sort of their own: of two rows of
-one front that differ, the one of greater W has the greater T_max, so a
-front's visits in the peel's order are its stable order of -W, and the
-same visits with each chain of equal rows reversed in place, then all
-reversed, are its stable order of T_max. The survivors, their order, rank
-and crowding are those the full ranking gives.
+It ranks and crowds the initial population and every merged population,
+and finds the archive: the final front 1, one row per chain of equal rows.
+Crowding (Deb et al. 2002) takes each front's stable order of each
+objective with no sort: of two rows of one front that differ, the one of
+greater W has the greater T_max, so a front's visits are its stable order
+of -W, and the same visits with each chain of equal rows reversed in
+place, then all reversed, are its stable order of T_max. Survivors: the
+parents and the scored children are merged, whole fronts are kept while
+they fit and the front that overflows is cut by crowding. Only the fronts
+down to that cut are peeled and crowded; the survivors, their order, rank
+and crowding are those the full ranking gives. The engine calls neither
+``non_dominated_sort`` nor ``crowding_distance`` (one front); both agree.
 
 Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
 (n, 2) table of (W, T_max). The engine calls it once on the initial
@@ -77,10 +76,12 @@ class EngineConfig:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.population_size, int) and self.population_size >= 4
+        # numpy cannot shape the (N, 2) table of initial draws beyond this
+        largest = np.iinfo(np.intp).max // 16
+        if not (isinstance(self.population_size, int) and 4 <= self.population_size <= largest
                 and self.population_size % 2 == 0):
-            raise ConfigError(
-                f"population_size must be an even integer >= 4, got {self.population_size!r}")
+            raise ConfigError(f"population_size must be an even integer from 4 to {largest}, "
+                              f"got {self.population_size!r}")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
             raise ConfigError(f"max_iterations must be a non-negative integer, "
                               f"got {self.max_iterations!r}")
@@ -104,12 +105,9 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class FrontArchive:
-    """Rank-1 rows of a final population, sorted by T_max ascending.
-
-    Exact duplicates in objective space are dropped (within rank 1 a tie in
-    T_max forces a tie in W, otherwise one would dominate the other), making
-    the sort order strict.
-    """
+    """Rank-1 rows of a final population, sorted by T_max ascending, exact
+    duplicates in objective space dropped: within rank 1 a tie in T_max
+    forces a tie in W, so the order is strict."""
 
     genomes: np.ndarray      # (n, 2H)
     objectives: np.ndarray   # (n, 2) of (W, T_max)
@@ -141,29 +139,22 @@ def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
     return _peel(objectives, len(objectives))[0]
 
 
-def crowding_distance(objectives: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
-    """Per-objective normalized neighbor gaps within each front, summed over both objectives.
+def crowding_distance(objectives: np.ndarray) -> np.ndarray:
+    """Per-objective normalized neighbor gaps of one front, summed over both objectives.
 
-    ``rank`` gives each row's front (as from ``non_dominated_sort``); without
-    it the whole table is one front. Each front's rows, in ascending row
-    order, are crowded on their own: each objective, in minimization form
+    The rows are taken as one front. Each objective, in minimization form
     (-W, then T_max), is sorted with a stable sort, so of the rows tied at
-    the front's least value the first is its boundary, and of those tied at
-    its greatest value the last. Boundary rows get +inf, and so does every
-    row of a front of one or two; an objective with zero range in a front
-    adds nothing to its interior rows. A non-finite objective raises
-    ``EngineError`` naming its row.
+    the least value the first is a boundary, and of those tied at the
+    greatest value the last. Boundary rows get +inf, and so does every row
+    of a front of one or two; an objective with zero range adds nothing to
+    the interior rows. A non-finite objective raises ``EngineError`` naming
+    its row.
     """
     _require_finite(objectives)
-    rank = np.ones(len(objectives), dtype=int) if rank is None else rank
     d = np.zeros(len(objectives))
-    order = np.argsort(rank, kind="stable")  # each front's rows in ascending row order
-    fronts = rank[order]
-    cuts = [0, *(np.flatnonzero(fronts[1:] != fronts[:-1]) + 1).tolist(), len(order)]
-    for start, stop in zip(cuts, cuts[1:]) if len(order) else ():
-        rows = order[start:stop]
-        _crowd(d, objectives, rows[(-objectives[rows, 0]).argsort(kind="stable")],
-               rows[objectives[rows, 1].argsort(kind="stable")])
+    if len(objectives):
+        _crowd(d, objectives, (-objectives[:, 0]).argsort(kind="stable"),
+               objectives[:, 1].argsort(kind="stable"))
     return d
 
 
@@ -257,11 +248,6 @@ def _evaluation_error(genomes: np.ndarray, generation: int, row: int,
                        f"batch row {row}: {reason}", genome=genomes[row].copy())
 
 
-def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rank = non_dominated_sort(objectives)
-    return rank, crowding_distance(objectives, rank)
-
-
 def _peel(objectives: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Front ranks of an (n, 2) table down to the front where at least
     ``target`` rows (or all n) are ranked, 0 for the rows behind it, with
@@ -300,17 +286,10 @@ def _peel(objectives: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, 
     return rank, order, sizes
 
 
-def _next_population(objectives: np.ndarray,
-                     target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a merged population that survive, in order, with their
-    rank and crowding: the same rows, order and bytes as ``_rank_and_crowd``
-    followed by ``_survivors``.
-
-    ``_peel`` ranks the fronts down to the cut, and only their rows are
-    crowded, each front from the peel's visiting order (see the module
-    docstring), and cut: the crowding of a front and the cut depend on no
-    row behind it.
-    """
+def _rank_and_crowd(objectives: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_peel``'s front ranks for ``target`` rows, and each row's crowding
+    within its front from the peel's visiting order (see the module
+    docstring); a row behind the fronts ranked has rank 0 and crowding 0."""
     rank, order, sizes = _peel(objectives, target)
     # each visit's mirror in its chain of equal rows: chains reversed in place
     mirror = order[(2 * sizes.cumsum() - sizes - 1).repeat(sizes) - np.arange(len(order))]
@@ -319,6 +298,15 @@ def _next_population(objectives: np.ndarray,
     for front in range(1, fronts.max(initial=0) + 1):
         visits = fronts == front
         _crowd(crowding, objectives, order[visits], mirror[visits][::-1])
+    return rank, crowding
+
+
+def _next_population(objectives: np.ndarray,
+                     target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a merged population that survive, in order, with their
+    rank and crowding: the crowding of a front and the cut depend on no row
+    behind it, so only the fronts down to the cut are ranked and crowded."""
+    rank, crowding = _rank_and_crowd(objectives, target)
     ranked = rank.nonzero()[0]
     rank, crowding = rank[ranked], crowding[ranked]
     keep = _survivors(rank, crowding, target)
@@ -362,7 +350,7 @@ def evolve(
     """
     genomes = initialize_population(cfg, horizon, rng)
     objectives = _evaluate(genomes, evaluator, 0)
-    rank, crowding = _rank_and_crowd(objectives)
+    rank, crowding = _rank_and_crowd(objectives, len(objectives))
 
     n_offspring = _even_count(cfg.crossover_fraction, cfg.population_size)
     n_mutants = round(cfg.mutant_fraction * cfg.population_size)
@@ -376,16 +364,14 @@ def evolve(
         keep, rank, crowding = _next_population(objectives, cfg.population_size)
         genomes, objectives = genomes[keep], objectives[keep]
 
-    # the merged rank marks the survivors' first front: if merged front 1 fit,
-    # every dominator of a surviving rank-2 row survived; if not, no rank 2 did
-    first = rank == 1
-    return _build_archive(genomes[first], objectives[first])
+    return _build_archive(genomes, objectives)
 
 
 def _build_archive(genomes: np.ndarray, objectives: np.ndarray) -> FrontArchive:
-    """Sort rank-1 rows by (T_max, -W) and drop exact objective duplicates."""
-    order = np.lexsort((-objectives[:, 0], objectives[:, 1]))
-    genomes, objectives = genomes[order], objectives[order]
-    fresh = np.ones(len(objectives), dtype=bool)
-    fresh[1:] = (objectives[1:] != objectives[:-1]).any(axis=1)
-    return FrontArchive(genomes=genomes[fresh], objectives=objectives[fresh])
+    """The front 1 of a population as ``_peel`` finds it: the first row of
+    each of its chains of equal rows, in reverse visiting order (T_max
+    ascending)."""
+    rank, order, sizes = _peel(objectives, 1)
+    heads = order[sizes.cumsum() - sizes]
+    heads = heads[rank[heads] == 1][::-1]
+    return FrontArchive(genomes=genomes[heads], objectives=objectives[heads])

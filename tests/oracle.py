@@ -205,6 +205,18 @@ def rank_and_crowd(objectives):
     return rank, crowding_by_front(objectives, rank)
 
 
+def front_one_archive(genomes, objectives):
+    """The archive of a population, the reference for the engine's: its
+    brute-force rank-1 rows sorted by (T_max, -W), ties in row order, each
+    row equal in both objectives to the row before it dropped."""
+    rank = brute_force_rank(objectives)
+    rows = sorted(np.flatnonzero(rank == 1).tolist(),
+                  key=lambda i: (objectives[i, 1], -objectives[i, 0]))
+    kept = [i for k, i in enumerate(rows)
+            if k == 0 or objectives[i].tolist() != objectives[rows[k - 1]].tolist()]
+    return genomes[kept], objectives[kept]
+
+
 def crowding_by_front(objectives, rank):
     """Crowding distance computed front by front, the reference for the
     engine's one-pass crowding: each front's rows, in ascending row order,

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_harness import BAD_REFERENCE_POINTS
 
+from dice_pareto import cli
 from dice_pareto.cli import _build_parser, _default_config, main
 from dice_pareto.harness import RunConfig
 
@@ -293,6 +295,32 @@ class TestOptimize:
         out = tmp_path / "bad"
         assert run_cli("optimize", "--config", tiny_cfg, "--population", "7",
                        "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_a_population_numpy_cannot_shape_is_one_config_error_line(self, tmp_path,
+                                                                     tiny_cfg, capsys):
+        # rejected before the (N, 2) table of initial draws is shaped
+        out = tmp_path / "huge"
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", str(10**20),
+                       "--iterations", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: population_size must be an even integer from 4 to "
+                       f"{np.iinfo(np.intp).max // 16}, got {10**20}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8.00 EiB"), "out of memory: Unable to allocate 8.00 EiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_running_out_of_memory_is_one_runtime_error_line(self, tmp_path, tiny_cfg,
+                                                             monkeypatch, capsys, exc, line):
+        def exhausted(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        out = tmp_path / "out"
+        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"runtime error: {line}\n"
         assert not out.exists()
 
     def test_unwritable_output_dir_is_runtime_error(self, tmp_path, tiny_cfg, capsys):

@@ -33,7 +33,6 @@ from dice_pareto import (
 )
 from dice_pareto.harness import (
     TRAJECTORY_COLUMNS,
-    _fmt,
     _format_rows,
     config_from_dict,
     config_hash,
@@ -415,11 +414,11 @@ FORMAT_EXTREMES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e
 
 
 def per_cell_lines(table):
-    return [",".join(_fmt(v) for v in row) for row in table]
+    return [",".join(f"{v:.17g}" for v in row) for row in table]
 
 
 class TestRowFormatter:
-    """The one-template row formatter against per-cell ``_fmt`` joins."""
+    """The one-template row formatter against per-cell ``format`` joins."""
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(float, st.tuples(st.integers(0, 4), st.integers(1, 9)),
@@ -439,7 +438,7 @@ class TestRowFormatter:
                    "year": np.array([p.year(i) for i in range(p.H + 1)])}
         lines = [",".join(TRAJECTORY_COLUMNS)]
         for i in range(p.H + 1):
-            lines.append(",".join(_fmt(columns[name][i]) if i < len(columns[name]) else ""
+            lines.append(",".join(f"{columns[name][i]:.17g}" if i < len(columns[name]) else ""
                                   for name in TRAJECTORY_COLUMNS))
         assert format_trajectory_csv(traj) == "\n".join(lines) + "\n"
 

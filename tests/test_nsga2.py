@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from oracle import brute_force_rank, crowding_by_front, dominates, rank_and_crowd
+from oracle import (
+    brute_force_rank,
+    crowding_by_front,
+    dominates,
+    front_one_archive,
+    rank_and_crowd,
+)
 
 import dice_pareto
 from dice_pareto import (
@@ -29,8 +35,10 @@ from dice_pareto import (
     tournament_select,
 )
 from dice_pareto.nsga2 import (
+    _build_archive,
     _next_population,
     _peel,
+    _rank_and_crowd,
     _survivors,
     initialize_population,
 )
@@ -133,7 +141,7 @@ class TestCrowding:
     def test_fronts_are_crowded_separately(self):
         # front 1 is rows 0, 2 and 4; front 2 is rows 1 and 3
         objectives = min_rows((0.0, 2.0), (1.0, 3.0), (1.0, 1.0), (3.0, 1.0), (2.0, 0.0))
-        d = crowding_distance(objectives, non_dominated_sort(objectives))
+        _, d = _rank_and_crowd(objectives, len(objectives))
         assert np.isinf(d[[0, 1, 3, 4]]).all()
         assert d[2] == 2.0
 
@@ -177,6 +185,12 @@ def merged_populations(draw):
         rows.append((w - a, t + b + (0.5 if a == b == 0.0 else 0.0)))
     order = draw(st.permutations(range(2 * N)))
     return np.array(rows)[order], N, size
+
+
+def full_ranking(objectives, target):
+    """Rank and crowding of every row from the brute-force reference, taking
+    the engine's ``target`` and ignoring it."""
+    return rank_and_crowd(objectives)
 
 
 def full_ranking_survivors(objectives, target):
@@ -314,8 +328,20 @@ class TestSurvivorShortcut:
 def test_one_front_crowding_matches_the_ranked_path(objectives):
     one_front = np.ones(len(objectives), dtype=int)
     got = crowding_distance(objectives)
-    assert got.tobytes() == crowding_distance(objectives, one_front).tobytes()
     assert got.tobytes() == crowding_by_front(objectives, one_front).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_tables(max_rows=40) | merged_populations().map(lambda drawn: drawn[0]))
+@example(np.array([[0.5, -0.0], [0.5, 0.0], [0.5, -0.0]]))
+@example(np.array([[-0.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [0.5, 3.0]]))
+def test_archive_matches_the_front_one_reference(objectives):
+    # each genome is its row number, so the bytes show which row of a chain is kept
+    genomes = np.arange(len(objectives), dtype=float)[:, None]
+    got = _build_archive(genomes, objectives)
+    want_genomes, want_objectives = front_one_archive(genomes, objectives)
+    assert got.genomes.tobytes() == want_genomes.tobytes()
+    assert got.objectives.tobytes() == want_objectives.tobytes()
 
 
 class TestTournament:
@@ -470,10 +496,18 @@ class TestEngineConfig:
         ({"mutation_step": 0.0}, "mutation_step"),
         ({"crossover_fraction": -0.1}, "crossover_fraction"),
         ({"mutant_fraction": 1.2}, "mutant_fraction"),
+        # even, and one above the largest (N, 2) table numpy can shape
+        ({"population_size": np.iinfo(np.intp).max // 16 + 1}, "population_size"),
+        ({"population_size": 10**20}, "population_size"),
     ])
     def test_invalid_settings_name_the_field(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             EngineConfig(**overrides)
+
+    def test_the_largest_population_numpy_can_shape_is_accepted(self):
+        # checking it allocates nothing
+        largest = np.iinfo(np.intp).max // 16 // 2 * 2
+        assert EngineConfig(population_size=largest).population_size == largest
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="mutation_rat\\b"):
@@ -540,7 +574,7 @@ class TestEvolve:
         import dice_pareto.nsga2 as engine
 
         calls = []
-        ranking = ["non_dominated_sort", "crowding_distance"]
+        ranking = ["non_dominated_sort", "crowding_distance", "_rank_and_crowd"]
         variation = ["tournament_select", "crossover", "mutate"]
         for name in ranking + variation + ["_next_population"]:
             def counted(*args, _name=name, _op=getattr(engine, name)):
@@ -550,15 +584,16 @@ class TestEvolve:
         evolve(_small_cfg(max_iterations=3), _small_evaluator, SMALL_MODEL.H,
                np.random.default_rng(3))
         # the initial ranking, then variation and one survivor selection per
-        # generation: the fronts down to the survivor cut are ranked and
-        # crowded from the peel's order, without the public sort or crowding
-        assert calls == ranking + (variation + ["_next_population"]) * 3
+        # generation, which ranks and crowds the fronts down to the survivor
+        # cut; neither the public sort nor the public crowding runs
+        survivors = ["_next_population", "_rank_and_crowd"]
+        assert calls == ["_rank_and_crowd"] + (variation + survivors) * 3
 
     def test_a_filled_front_one_skips_the_ranking(self, monkeypatch):
         import dice_pareto.nsga2 as engine
 
         calls = []
-        for name in ("non_dominated_sort", "crowding_distance"):
+        for name in ("non_dominated_sort", "crowding_distance", "_rank_and_crowd"):
             def counted(*args, _name=name, _op=getattr(engine, name)):
                 calls.append(_name)
                 return _op(*args)
@@ -566,8 +601,9 @@ class TestEvolve:
         # every row scores alike, so the merged front 1 holds all 2N rows
         evolve(_small_cfg(max_iterations=3), lambda genomes: np.zeros((len(genomes), 2)),
                SMALL_MODEL.H, np.random.default_rng(3))
-        # and is crowded from the peel's order, not by crowding_distance
-        assert calls == ["non_dominated_sort", "crowding_distance"]
+        # the initial population and each generation's survivors are ranked
+        # and crowded by the peel, never by the public sort or crowding
+        assert calls == ["_rank_and_crowd"] * 4
 
     def test_phase_functions_stay_public(self):
         # the benchmark's tracer times the engine's phases by these names
@@ -580,7 +616,7 @@ class TestEvolve:
 
         cfg = _small_cfg(max_iterations=20, rng_seed=seed)
         swept = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
-        monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
+        monkeypatch.setattr(engine, "_rank_and_crowd", full_ranking)
         monkeypatch.setattr(engine, "_next_population", full_ranking_survivors)
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(seed))
         assert np.array_equal(swept.genomes, reference.genomes)
@@ -590,18 +626,20 @@ class TestEvolve:
         import dice_pareto.nsga2 as engine
 
         cfg = _small_cfg(population_size=4, crossover_fraction=0.0, mutant_fraction=0.0)
-        peeled = []
+        peeled, targets = [], []
 
         def recording(objectives, target):
             peeled.append(_peel(objectives, target))
+            targets.append(target)
             return peeled[-1]
 
         monkeypatch.setattr(engine, "_peel", recording)
         archive = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
-        # the initial population's full ranking, then one peel per generation
-        assert len(peeled) == cfg.max_iterations + 1
-        assert all(len(rank) == 4 and rank.min() >= 1 for rank, _, _ in peeled)
-        monkeypatch.setattr(engine, "_rank_and_crowd", rank_and_crowd)
+        # the initial population's full ranking, one peel per generation, and
+        # the archive's peel of front 1
+        assert targets == [4] * (cfg.max_iterations + 1) + [1]
+        assert all(len(rank) == 4 and rank.min() >= 1 for rank, _, _ in peeled[:-1])
+        monkeypatch.setattr(engine, "_rank_and_crowd", full_ranking)
         monkeypatch.setattr(engine, "_next_population", full_ranking_survivors)
         reference = evolve(cfg, _small_evaluator, SMALL_MODEL.H, np.random.default_rng(3))
         assert archive.genomes.tobytes() == reference.genomes.tobytes()

@@ -452,7 +452,7 @@ def test_crowding_invariants(objectives, scale, column):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(objective_tables, grid_tables))
 def test_rank_and_crowd_matches_front_by_front_reference(objectives):
-    rank, crowding = _rank_and_crowd(objectives)
+    rank, crowding = _rank_and_crowd(objectives, len(objectives))
     assert rank.tolist() == brute_force_rank(objectives).tolist()
     assert np.array_equal(crowding, crowding_by_front(objectives, rank))
 
