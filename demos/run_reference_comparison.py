@@ -3,6 +3,9 @@
 Writes a front file holding six published trade-off points, then uses the
 reporting path to pick representatives and difference them against the
 bundled MPC reference point, reproducing the familiar delta table layout.
+Every stored row carries the same placeholder genome (all genes 0), so the
+trajectory_<label>.csv files that report writes beside the table show that
+one policy, not the published solutions.
 
     python demos/run_reference_comparison.py
 """

@@ -23,15 +23,14 @@ from .harness import (
     FRONT_FILE,
     RunConfig,
     _decode_json,
+    _present,
     _read_input,
-    compare_reference,
-    format_comparison_csv,
+    _write_run,
     format_trajectory_csv,
     load_config,
     load_front,
     persist_report,
     run_experiment,
-    select_representatives,
     write_files,
 )
 from .model import PolicyMatrix, simulate
@@ -170,20 +169,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    front_path = Path(cfg.output_dir) / FRONT_FILE
-    archive = load_front(front_path)
+    out = Path(cfg.output_dir)
+    archive = load_front(out / FRONT_FILE)
     genes = archive.genomes.shape[1]
     if genes != 2 * cfg.model.H:
-        raise ConfigError(f"{front_path} has {genes} genes per row, but the configured "
+        raise ConfigError(f"{out / FRONT_FILE} has {genes} genes per row, but the configured "
                           f"H = {cfg.model.H} needs 2H = {2 * cfg.model.H}")
-    named = select_representatives(archive, cfg.representative_count)
-    rows = compare_reference([(label, archive.objectives[row]) for label, row in named],
-                             cfg.reference_points)
-    text = format_comparison_csv(rows)
-    target = Path(cfg.output_dir) / COMPARISON_FILE
-    write_files({target: text})
-    print(text, end="")
-    print(f"comparison written to {target}")
+    texts = _write_run(out, _present(archive, cfg), {})
+    print(texts[out / COMPARISON_FILE], end="")
+    print(f"comparison written to {out / COMPARISON_FILE}")
     return EXIT_OK
 
 

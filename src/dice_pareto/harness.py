@@ -10,6 +10,10 @@ the result:
 * ``comparison.csv``    - representatives and references with deltas;
 * ``metadata.json``     - seed, settings, config hash, versions, timing.
 
+``report`` takes a stored ``front.csv`` down the same path from the archive
+on: it picks and simulates its representatives and writes their trajectories
+and ``comparison.csv`` in one write, removing every other ``trajectory_*.csv``.
+
 All floats are serialized with 17 significant digits so files round-trip
 exactly and identical seeds reproduce identical front files byte for byte.
 """
@@ -34,7 +38,7 @@ from . import __version__
 from .errors import ConfigError
 from .model import ObjectivePair, PolicyMatrix, Trajectory, evaluate_batch, simulate
 from .nsga2 import EngineConfig, FrontArchive, evolve
-from .params import ModelParams, _number
+from .params import ModelParams, _integer, _number, _require
 
 FRONT_FILE = "front.csv"
 COMPARISON_FILE = "comparison.csv"
@@ -79,9 +83,8 @@ class RunConfig:
             if rp.name in names:
                 raise ConfigError(f"reference point name {rp.name!r} is used twice")
             names.add(rp.name)
-        if not (isinstance(self.representative_count, int) and self.representative_count >= 2):
-            raise ConfigError(
-                f"representative_count must be an integer >= 2, got {self.representative_count!r}")
+        _require(self, "be an integer >= 2", lambda v: isinstance(v, int) and v >= 2,
+                 "representative_count")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -101,7 +104,7 @@ class RunReport:
     archive: FrontArchive
     representatives: list[tuple[str, int, Trajectory]]  # label, archive row, trajectory
     comparison: list[dict[str, Any]]
-    metadata: dict[str, Any]
+    metadata: dict[str, Any] = field(default_factory=dict)  # empty for a stored front
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -142,15 +145,10 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
     read = {"model": ModelParams.from_dict, "engine": EngineConfig.from_dict,
-            "representative_count": _integer_count, "reference_points": _parse_reference_points}
+            "representative_count": functools.partial(_integer, where="representative_count"),
+            "reference_points": _parse_reference_points}
     return RunConfig(**{name: read.get(name, lambda value: value)(data[name])
                         for name in names if name in data})
-
-
-def _integer_count(count: Any) -> int:
-    if _number(count, "representative_count") != int(count):
-        raise ConfigError(f"representative_count must be an integer, got {count!r}")
-    return int(count)
 
 
 def _parse_reference_points(raw: Any) -> tuple[ReferencePoint, ...]:
@@ -184,13 +182,6 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     archive = evolve(cfg.engine, functools.partial(evaluate_batch, p=model), model.H, rng)
     elapsed = time.perf_counter() - started
 
-    named = select_representatives(archive, cfg.representative_count)
-    representatives = [
-        (label, row, simulate(PolicyMatrix.from_genome(archive.genomes[row]), model))
-        for label, row in named
-    ]
-    comparison = compare_reference(
-        [(label, archive.objectives[row]) for label, row in named], cfg.reference_points)
     metadata = {
         "seed": cfg.engine.rng_seed,
         "population_size": cfg.engine.population_size,
@@ -207,8 +198,17 @@ def run_experiment(cfg: RunConfig) -> RunReport:
             "python": platform.python_version(),
         },
     }
-    return RunReport(archive=archive, representatives=representatives,
-                     comparison=comparison, metadata=metadata)
+    return dataclasses.replace(_present(archive, cfg), metadata=metadata)
+
+
+def _present(archive: FrontArchive, cfg: RunConfig) -> RunReport:
+    """An archive's representatives, each simulated, and their comparison
+    rows, without metadata: what ``optimize`` and ``report`` both write."""
+    named = select_representatives(archive, cfg.representative_count)
+    representatives = [(label, row, simulate(PolicyMatrix.from_genome(archive.genomes[row]),
+                                             cfg.model)) for label, row in named]
+    return RunReport(archive, representatives, compare_reference(
+        [(label, archive.objectives[row]) for label, row in named], cfg.reference_points))
 
 
 def _labels(count: int) -> list[str]:
@@ -279,8 +279,8 @@ def _format_rows(table: np.ndarray) -> list[str]:
     return [template % tuple(row.tolist()) for row in table]
 
 
-def write_files(texts: dict[Path, str]) -> list[Path]:
-    """Write each text to its path, making its directory; returns the paths.
+def write_files(texts: dict[Path, str]) -> None:
+    """Write each text to its path, making its directory.
 
     Each file is first written to a temporary sibling (``<name>.tmp``), and
     the temporaries replace their targets only after every write has
@@ -302,29 +302,33 @@ def write_files(texts: dict[Path, str]) -> list[Path]:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
-    return list(texts)
+
+
+def _write_run(out: Path, report: RunReport, texts: dict[Path, str]) -> dict[Path, str]:
+    """Write a report's ``comparison.csv``, ``texts`` and the representatives'
+    trajectories in one ``write_files`` call, then remove every other
+    ``trajectory_*.csv`` in ``out``, so an earlier run's representatives do
+    not pass for these; returns each text by its path, comparison first."""
+    texts = {out / COMPARISON_FILE: format_comparison_csv(report.comparison), **texts}
+    for label, _, traj in report.representatives:
+        texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj)
+    write_files(texts)
+    for stale in sorted(set(out.glob("trajectory_*.csv")) - set(texts)):
+        stale.unlink(missing_ok=True)
+    return texts
 
 
 def persist_report(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Write front, trajectories, comparison, and metadata files with
-    ``write_files``, then remove every ``trajectory_*.csv`` in ``out_dir``
-    that this run did not write, so an earlier run's representatives do not
-    pass for this run's; returns the written paths. A failed write removes
-    nothing. A string ``out_dir`` is checked as ``RunConfig.output_dir`` is;
-    a ``Path`` is taken as it is (pathlib already reads ``Path("")`` as
-    ``Path(".")``)."""
+    """Write the comparison, front, metadata and trajectory files with
+    ``_write_run``; returns the written paths. A string ``out_dir`` is
+    checked as ``RunConfig.output_dir`` is; a ``Path`` is taken as it is
+    (pathlib already reads ``Path("")`` as ``Path(".")``)."""
     if not isinstance(out_dir, Path):
         _check_output_dir(out_dir)
     out = Path(out_dir)
-    texts = {out / FRONT_FILE: format_front_csv(report.archive)}
-    for label, _, traj in report.representatives:
-        texts[out / f"trajectory_{label}.csv"] = format_trajectory_csv(traj)
-    texts[out / COMPARISON_FILE] = format_comparison_csv(report.comparison)
-    texts[out / METADATA_FILE] = json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"
-    written = write_files(texts)
-    for stale in sorted(set(out.glob("trajectory_*.csv")) - set(written)):
-        stale.unlink(missing_ok=True)
-    return written
+    return list(_write_run(out, report, {
+        out / FRONT_FILE: format_front_csv(report.archive),
+        out / METADATA_FILE: json.dumps(report.metadata, indent=2, sort_keys=True) + "\n"}))
 
 
 def format_front_csv(archive: FrontArchive) -> str:

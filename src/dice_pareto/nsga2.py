@@ -52,8 +52,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, EngineError
-from .params import _checked_fields
+from .errors import EngineError
+from .params import _checked_fields, _require
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -78,21 +78,16 @@ class EngineConfig:
     def __post_init__(self) -> None:
         # numpy cannot shape the (N, 2) table of initial draws beyond this
         largest = np.iinfo(np.intp).max // 16
-        if not (isinstance(self.population_size, int) and 4 <= self.population_size <= largest
-                and self.population_size % 2 == 0):
-            raise ConfigError(f"population_size must be an even integer from 4 to {largest}, "
-                              f"got {self.population_size!r}")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
-            raise ConfigError(f"max_iterations must be a non-negative integer, "
-                              f"got {self.max_iterations!r}")
-        for name in ("mutation_rate", "crossover_fraction", "mutant_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if not self.mutation_step > 0:
-            raise ConfigError(f"mutation_step must be positive, got {self.mutation_step}")
-        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
-            raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+        _require(self, f"be an even integer from 4 to {largest}",
+                 lambda v: isinstance(v, int) and 4 <= v <= largest and v % 2 == 0,
+                 "population_size")
+        _require(self, "be a non-negative integer", lambda v: isinstance(v, int) and v >= 0,
+                 "max_iterations")
+        _require(self, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0,
+                 "mutation_rate", "crossover_fraction", "mutant_fraction")
+        _require(self, "be positive", lambda v: v > 0, "mutation_step")
+        _require(self, "be a non-negative integer", lambda v: isinstance(v, int) and v >= 0,
+                 "rng_seed")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EngineConfig":

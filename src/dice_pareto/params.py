@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConfigError
 
@@ -76,37 +76,22 @@ class ModelParams:
     T_LO0: float = 0.0068        # deg C vs 1900
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        _require(self, "be positive", lambda v: v > 0, "dt")
         # a run needs at least one step to score: W and T_max of no step are constants
-        if not (isinstance(self.H, int) and self.H >= 1):
-            raise ConfigError(f"H must be a positive integer, got {self.H!r}")
-        for name in ("delta_K", "delta_pb", "delta_sigma", "delta_EL"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        _require(self, "be a positive integer", lambda v: isinstance(v, int) and v >= 1, "H")
+        _require(self, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0,
+                 "delta_K", "delta_pb", "delta_sigma", "delta_EL")
         # a discount factor (1 + rho) ** (i * dt) must be real and positive
-        if not self.rho > -1.0:
-            raise ConfigError(f"rho must be greater than -1, got {self.rho}")
-        if self.alpha < 0 or self.alpha == 1.0:
-            raise ConfigError(f"alpha must be >= 0 and != 1, got {self.alpha}")
+        _require(self, "be greater than -1", lambda v: v > -1.0, "rho")
+        _require(self, "be >= 0 and != 1", lambda v: not (v < 0 or v == 1.0), "alpha")
         # L_a bounds the population; the forcing ramp divides by t_f, the
-        # mitigation cost by theta2, and forcing takes log2(M_AT / M_AT_1750)
-        for name in ("L_a", "t_f", "theta2", "M_AT_1750"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        # mitigation cost by theta2, and forcing takes log2(M_AT / M_AT_1750);
         # gross output needs K > 0 from step 0 on
-        for name in ("L0", "A0", "K0", "sigma0", "M_AT0", "M_UP0", "M_LO0"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        _require(self, "be positive", lambda v: v > 0, "L_a", "t_f", "theta2", "M_AT_1750",
+                 "L0", "A0", "K0", "sigma0", "M_AT0", "M_UP0", "M_LO0")
         # a negative damage coefficient can push the damage factor past 1 or
         # through a pole, and every policy then fails inside the model
-        for name in ("psi1", "psi2"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
+        _require(self, "be non-negative", lambda v: v >= 0, "psi1", "psi2")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ModelParams":
@@ -125,21 +110,28 @@ def _checked_fields(cls: type, data: dict[str, Any], section: str) -> dict[str, 
     """Validate a config mapping against a dataclass: strict keys, numeric coercion."""
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be a mapping, got {type(data).__name__}")
-    by_name = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(by_name))
+    read = {f.name: _integer if f.type in ("int", int) else _number
+            for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(read))
     if unknown:
         raise ConfigError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
-    out: dict[str, Any] = {}
-    for key, value in data.items():
-        number = _number(value, f"{section}.{key}")
-        if by_name[key].type in ("int", int):
-            if number != int(value):
-                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-            out[key] = int(value)
-        else:
-            out[key] = number
-    return out
+    return {key: read[key](value, f"{section}.{key}") for key, value in data.items()}
 
+
+def _require(settings: Any, rule: str, holds: Callable[[Any], bool], *names: str) -> None:
+    """Raise a ConfigError "<name> must <rule>, got <value>" for the first of
+    ``names`` whose value on ``settings`` fails ``holds``."""
+    for name in names:
+        value = getattr(settings, name)
+        if not holds(value):
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
+def _integer(value: Any, where: str) -> int:
+    """A config value as an int: a number read by ``_number`` with no fraction."""
+    if _number(value, where) != int(value):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 def _number(value: Any, where: str) -> float:
     """A config value as a float: a finite JSON number, so booleans, strings,

@@ -360,6 +360,48 @@ class TestReport:
         assert "comparison.csv" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 
+    @pytest.mark.parametrize("run_count, report_count", [(6, 2), (2, 4)])
+    def test_report_writes_the_trajectories_of_its_own_representatives(
+            self, tmp_path, tiny_cfg, capsys, run_count, report_count):
+        out = tmp_path / "run"
+        assert run_cli("optimize", "--config", tiny_cfg, "--population", "30",
+                       "--representatives", str(run_count), "--out", str(out)) == 0
+        assert run_cli("report", "--config", tiny_cfg, "--out", str(out),
+                       "--representatives", str(report_count)) == 0
+        labels = "ABCDEF"[:report_count]
+        assert sorted(path.name for path in out.glob("trajectory_*.csv")) == [
+            f"trajectory_{label}.csv" for label in labels]
+        rows = {line.split(",")[0]: float(line.split(",")[2])
+                for line in (out / "comparison.csv").read_text().splitlines()[1:]}
+        assert sorted(rows) == [*labels, "MPC"]
+        for label in labels:
+            lines = (out / f"trajectory_{label}.csv").read_text().splitlines()
+            column = lines[0].split(",").index("T_AT")
+            peak = max(float(line.split(",")[column]) for line in lines[1:])
+            # simulate and the batch scorer may differ by a few ulps (numpy's SIMD power)
+            assert peak == pytest.approx(rows[label], rel=1e-12, abs=0), label
+
+    def test_report_with_the_run_count_leaves_every_file_unchanged(self, tmp_path, tiny_cfg,
+                                                                    capsys):
+        out = tmp_path / "run"
+        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out)) == 0
+        previous = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli("report", "--config", tiny_cfg, "--out", str(out)) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
+    def test_a_representative_the_model_cannot_run_writes_nothing(self, tmp_path, tiny_cfg,
+                                                                   capsys):
+        out = tmp_path / "run"
+        assert run_cli("optimize", "--config", tiny_cfg, "--out", str(out)) == 0
+        previous = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        cfg = tmp_path / "bad.json"  # g_A > 1: the TFP denominator is negative at step 0
+        cfg.write_text(json.dumps({**TINY, "model": {**TINY["model"], "g_A": 1.5}}))
+        assert run_cli("report", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: step 0") and len(err.splitlines()) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
     def test_missing_front_file_names_path_and_fails(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         code = run_cli("report", "--out", str(missing))

@@ -73,7 +73,63 @@ def named_objectives(archive, named):
     return [(label, ObjectivePair(*archive.objectives[row])) for label, row in named]
 
 
+# a value that breaks each settings rule, in the order the rules are checked,
+# and two configs that break two rules each: the first rule checked is named
+RULE_MESSAGES = [
+    ({"model": {"dt": 0.0}}, "dt must be positive, got 0.0"),
+    ({"model": {"H": 0}}, "H must be a positive integer, got 0"),
+    ({"model": {"H": 2.5}}, "model.H must be an integer, got 2.5"),
+    ({"model": {"delta_K": 1.5}}, "delta_K must lie in [0, 1], got 1.5"),
+    ({"model": {"delta_pb": -0.1}}, "delta_pb must lie in [0, 1], got -0.1"),
+    ({"model": {"delta_sigma": 2}}, "delta_sigma must lie in [0, 1], got 2.0"),
+    ({"model": {"delta_EL": -0.25}}, "delta_EL must lie in [0, 1], got -0.25"),
+    ({"model": {"rho": -1}}, "rho must be greater than -1, got -1.0"),
+    ({"model": {"alpha": 1}}, "alpha must be >= 0 and != 1, got 1.0"),
+    ({"model": {"L_a": 0}}, "L_a must be positive, got 0.0"),
+    ({"model": {"t_f": -17.0}}, "t_f must be positive, got -17.0"),
+    ({"model": {"theta2": 0.0}}, "theta2 must be positive, got 0.0"),
+    ({"model": {"M_AT_1750": -588}}, "M_AT_1750 must be positive, got -588.0"),
+    ({"model": {"L0": 0}}, "L0 must be positive, got 0.0"),
+    ({"model": {"A0": -5.115}}, "A0 must be positive, got -5.115"),
+    ({"model": {"K0": 0.0}}, "K0 must be positive, got 0.0"),
+    ({"model": {"sigma0": -0.5}}, "sigma0 must be positive, got -0.5"),
+    ({"model": {"M_AT0": 0}}, "M_AT0 must be positive, got 0.0"),
+    ({"model": {"M_UP0": -460.0}}, "M_UP0 must be positive, got -460.0"),
+    ({"model": {"M_LO0": 0.0}}, "M_LO0 must be positive, got 0.0"),
+    ({"model": {"psi1": -0.1}}, "psi1 must be non-negative, got -0.1"),
+    ({"model": {"psi2": -1e-05}}, "psi2 must be non-negative, got -1e-05"),
+    ({"engine": {"population_size": 7}},
+     "population_size must be an even integer from 4 to 576460752303423487, got 7"),
+    ({"engine": {"max_iterations": -1}}, "max_iterations must be a non-negative integer, got -1"),
+    ({"engine": {"mutation_rate": 1.5}}, "mutation_rate must lie in [0, 1], got 1.5"),
+    ({"engine": {"mutation_step": 0}}, "mutation_step must be positive, got 0.0"),
+    ({"engine": {"crossover_fraction": -0.5}}, "crossover_fraction must lie in [0, 1], got -0.5"),
+    ({"engine": {"mutant_fraction": 2}}, "mutant_fraction must lie in [0, 1], got 2.0"),
+    ({"engine": {"rng_seed": -1}}, "rng_seed must be a non-negative integer, got -1"),
+    ({"representative_count": 1}, "representative_count must be an integer >= 2, got 1"),
+    ({"representative_count": 2.5}, "representative_count must be an integer, got 2.5"),
+    ({"model": {"rho": -2, "psi2": -1}}, "rho must be greater than -1, got -2.0"),
+    ({"engine": {"mutation_rate": 2, "rng_seed": -1}}, "mutation_rate must lie in [0, 1], got 2.0"),
+]
+
+
+def _rule_id(config):
+    """``key=value`` for each broken setting, joined by commas."""
+    settings = {key: value for name, value in config.items()
+                for key, value in (value.items() if isinstance(value, dict) else [(name, value)])}
+    return ",".join(f"{key}={value}" for key, value in settings.items())
+
+
 class TestLoadConfig:
+    @pytest.mark.parametrize("config, message", RULE_MESSAGES,
+                             ids=[_rule_id(config) for config, _ in RULE_MESSAGES])
+    def test_each_broken_rule_gives_its_message(self, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+
     def test_empty_file_gives_all_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("")
