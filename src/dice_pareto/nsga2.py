@@ -26,10 +26,10 @@ objective with no sort: of two rows of one front that differ, the one of
 greater W has the greater T_max, so a front's visits are its stable order
 of -W, and the same visits with each chain of equal rows reversed in
 place, then all reversed, are its stable order of T_max. Survivors: the
-parents and the scored children are merged, whole fronts are kept while
-they fit and the front that overflows is cut by crowding. Only the fronts
-down to that cut are peeled and crowded; the survivors, their order, rank
-and crowding are those the full ranking gives. The engine calls neither
+merged parents and children are peeled and crowded down to the front that
+reaches N rows, and one stable sort by (rank, that front's -crowding if it
+overflows) keeps whole fronts while they fit and cuts the last by crowding,
+as the full ranking does. The engine calls neither
 ``non_dominated_sort`` nor ``crowding_distance`` (one front); both agree.
 
 Evaluator contract: an evaluator maps an (n, 2H) table of genomes to an
@@ -299,33 +299,15 @@ def _rank_and_crowd(objectives: np.ndarray, target: int) -> tuple[np.ndarray, np
 def _next_population(objectives: np.ndarray,
                      target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of a merged population that survive, in order, with their
-    rank and crowding: the crowding of a front and the cut depend on no row
-    behind it, so only the fronts down to the cut are ranked and crowded."""
+    rank and crowding: the first ``target`` ranked rows in one stable sort by
+    rank, then by -crowding in the last front if it overflows; ``_peel`` stops
+    at the first front that reaches ``target``, so no other front can."""
     rank, crowding = _rank_and_crowd(objectives, target)
     ranked = rank.nonzero()[0]
     rank, crowding = rank[ranked], crowding[ranked]
-    keep = _survivors(rank, crowding, target)
+    cut = (rank == rank.max(initial=0)) & (len(ranked) > target)
+    keep = np.lexsort((np.where(cut, -crowding, 0.0), rank))[:target]
     return ranked[keep], rank[keep], crowding[keep]
-
-
-def _survivors(rank: np.ndarray, crowding: np.ndarray, target: int) -> np.ndarray:
-    """Row indices of the next population, in order.
-
-    Whole fronts are kept while they fit, each in ascending row order; the
-    overflowing front is cut by descending crowding, ties in row order.
-    """
-    order = rank.argsort(kind="stable")
-    if len(order) <= target:
-        return order
-    cut_rank = rank[order[target]]
-    whole = order[rank[order] < cut_rank]
-    cut = (rank == cut_rank).nonzero()[0]
-    cut = cut[(-crowding[cut]).argsort(kind="stable")]
-    return np.concatenate((whole, cut[: target - len(whole)]))
-
-
-def _even_count(fraction: float, population_size: int) -> int:
-    return 2 * round(fraction * population_size / 2.0)
 
 
 def evolve(
@@ -347,7 +329,7 @@ def evolve(
     objectives = _evaluate(genomes, evaluator, 0)
     rank, crowding = _rank_and_crowd(objectives, len(objectives))
 
-    n_offspring = _even_count(cfg.crossover_fraction, cfg.population_size)
+    n_offspring = 2 * round(cfg.crossover_fraction * cfg.population_size / 2.0)
     n_mutants = round(cfg.mutant_fraction * cfg.population_size)
     for generation in range(1, cfg.max_iterations + 1):
         winners = tournament_select(rank, crowding, rng, n_offspring + n_mutants)

@@ -128,10 +128,13 @@ def _require(settings: Any, rule: str, holds: Callable[[Any], bool], *names: str
 
 
 def _integer(value: Any, where: str) -> int:
-    """A config value as an int: a number read by ``_number`` with no fraction."""
-    if _number(value, where) != int(value):
+    """A config value as an int: one read by ``_number`` that is an int, kept
+    as given beyond 2**53 where a float cannot hold it, or a whole float."""
+    number = _number(value, where)
+    if not (isinstance(value, int) or number.is_integer()):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
 
 def _number(value: Any, where: str) -> float:
     """A config value as a float: a finite JSON number, so booleans, strings,

@@ -1,8 +1,9 @@
 """Independent references for the tests: a high-precision re-derivation of
 the DICE-2016R recursion, the per-step kernels of the recursion, Pareto
 dominance of two objective pairs, brute-force front ranks with
-front-by-front crowding distance, earlier forms of the model's policy terms
-and two step loops, and a row-by-row scan that picks representatives.
+front-by-front crowding distance and the survivor cut, earlier forms of the
+model's policy terms and two step loops, and a row-by-row scan that picks
+representatives.
 
 ``resimulate`` restates every constant literally, independent of the params
 module, and advances the full state recursion with mpmath at 40 digits,
@@ -203,6 +204,19 @@ def rank_and_crowd(objectives):
     """Brute-force ranks and front-by-front crowding of an (n, 2) table."""
     rank = brute_force_rank(objectives)
     return rank, crowding_by_front(objectives, rank)
+
+
+def survivors_reference(rank, crowding, target):
+    """Row indices of the next population, in order (Deb et al. 2002): whole
+    fronts are kept while they fit, each in ascending row order, and the front
+    that overflows is cut by descending crowding, ties in row order."""
+    rows = sorted(range(len(rank)), key=lambda i: rank[i])
+    if len(rows) <= target:
+        return rows
+    cut_rank = rank[rows[target]]
+    whole = [i for i in rows if rank[i] < cut_rank]
+    cut = sorted((i for i in rows if rank[i] == cut_rank), key=lambda i: -crowding[i])
+    return whole + cut[:target - len(whole)]
 
 
 def front_one_archive(genomes, objectives):

@@ -66,6 +66,16 @@ class TestSimulate:
         assert "--mu" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_integers_beyond_a_float_are_taken_as_given(self, tmp_path):
+        # a float cannot hold 2**53 + 1, which --seed takes as it is
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"engine": {"rng_seed": 2**53 + 1},
+                                   "representative_count": 2**53 + 1}))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(cfg), "--mu", "0.5", "--s", "0.2",
+                       "--out", str(out)) == 0
+        assert (out / "trajectory.csv").exists()
+
     def test_missing_controls_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--out", str(tmp_path / "x")) == 1
         assert "simulate needs" in capsys.readouterr().err
@@ -251,6 +261,16 @@ class TestOptimize:
         assert run_cli("optimize", "--config", tiny_cfg, "--seed", "33",
                        "--out", str(out)) == 0
         assert seed_of(out) == 33
+
+    def test_a_config_seed_beyond_a_float_runs_as_the_same_flag(self, tmp_path, tiny_cfg):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({**TINY, "engine": {**TINY["engine"], "rng_seed": 2**53 + 1}}))
+        by_config, by_flag = tmp_path / "config", tmp_path / "flag"
+        assert run_cli("optimize", "--config", str(cfg), "--out", str(by_config)) == 0
+        assert run_cli("optimize", "--config", tiny_cfg, "--seed", str(2**53 + 1),
+                       "--out", str(by_flag)) == 0
+        assert json.loads((by_config / "metadata.json").read_text())["seed"] == 2**53 + 1
+        assert (by_config / "front.csv").read_bytes() == (by_flag / "front.csv").read_bytes()
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, tiny_cfg, monkeypatch, capsys):
         monkeypatch.setenv("DICE_PARETO_SEED", "not-a-number")

@@ -110,14 +110,39 @@ RULE_MESSAGES = [
     ({"representative_count": 2.5}, "representative_count must be an integer, got 2.5"),
     ({"model": {"rho": -2, "psi2": -1}}, "rho must be greater than -1, got -2.0"),
     ({"engine": {"mutation_rate": 2, "rng_seed": -1}}, "mutation_rate must lie in [0, 1], got 2.0"),
+    # an integer setting read from a section and one read at the top level,
+    # each given a boolean and an int beyond the float range
+    *((config, f"{where} must be a finite number, got {value!r}")
+      for value in (True, 10**400)
+      for config, where in [({"engine": {"rng_seed": value}}, "engine.rng_seed"),
+                            ({"representative_count": value}, "representative_count")]),
 ]
 
 
+# an integer setting takes an int as given, also above 2**53 where a float
+# cannot hold it (2**54 + 2 for the even population size), and a float only
+# when it has no fraction; each is read only: H or max_iterations this large
+# would step that many times, and such a population could not be allocated
+INTEGER_LOADS = [
+    ({"representative_count": 2.0}, 2),
+    ({"engine": {"rng_seed": 2.0}}, 2),
+    ({"model": {"H": 2**53 + 1}}, 2**53 + 1),
+    ({"engine": {"population_size": 2**54 + 2}}, 2**54 + 2),
+    ({"engine": {"max_iterations": 2**53 + 1}}, 2**53 + 1),
+    ({"engine": {"rng_seed": 2**53 + 1}}, 2**53 + 1),
+    ({"representative_count": 2**53 + 1}, 2**53 + 1),
+]
+
+
+def _settings(config):
+    """Each setting of a config mapping as key: value, its sections flattened."""
+    return {key: value for name, value in config.items()
+            for key, value in (value.items() if isinstance(value, dict) else [(name, value)])}
+
+
 def _rule_id(config):
-    """``key=value`` for each broken setting, joined by commas."""
-    settings = {key: value for name, value in config.items()
-                for key, value in (value.items() if isinstance(value, dict) else [(name, value)])}
-    return ",".join(f"{key}={value}" for key, value in settings.items())
+    """``key=value`` for each setting, cut to 40 characters, joined by commas."""
+    return ",".join(f"{key}={value}"[:40] for key, value in _settings(config).items())
 
 
 class TestLoadConfig:
@@ -129,6 +154,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("config, read", INTEGER_LOADS,
+                             ids=[_rule_id(config) for config, _ in INTEGER_LOADS])
+    def test_an_integer_setting_loads_an_int_as_given(self, tmp_path, config, read):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        (key, _), = _settings(config).items()
+        loaded = load_config(path).to_dict()
+        value = _settings({name: loaded[name] for name in config})[key]
+        assert type(value) is int and value == read
 
     def test_empty_file_gives_all_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from oracle import (
     dominates,
     front_one_archive,
     rank_and_crowd,
+    survivors_reference,
 )
 
 import dice_pareto
@@ -39,7 +40,6 @@ from dice_pareto.nsga2 import (
     _next_population,
     _peel,
     _rank_and_crowd,
-    _survivors,
     initialize_population,
 )
 
@@ -197,7 +197,7 @@ def full_ranking_survivors(objectives, target):
     """Survivors, rank and crowding from ranking and crowding every row with
     the brute-force reference."""
     rank, crowding = rank_and_crowd(objectives)
-    keep = _survivors(rank, crowding, target)
+    keep = np.array(survivors_reference(rank, crowding, target), dtype=int)
     return keep, rank[keep], crowding[keep]
 
 
@@ -273,6 +273,10 @@ class TestSurvivorShortcut:
                     [(2.0, 2.5), (0.5, 1.5)], [0, 4, 6, 2, 5, 1, 7, 3]))
     # three interior rows tied at crowding 1.0 for the two places left at the cut
     @example(merged(STAIRCASE, [(3.0, 3.5), (2.0, 2.5), (-1.0, 1.0)], [6, 3, 0, 7, 2, 5, 1, 4]))
+    # fronts 1 and 2 of exactly N rows; crowding would put front 2's first row last
+    @example(merged([(3.0, 0.0)], [(1.0, 1.5), (2.0, 2.0), (0.0, 1.0), (1.5, 2.5),
+                                   (0.5, 2.0), (-0.5, 1.5), (-1.0, 1.2)],
+                    [4, 1, 5, 0, 2, 6, 3, 7]))
     # front 1 of exactly N rows
     @example(merged(STAIRCASE[1:], [(3.0, 4.5), (2.0, 4.0), (1.0, 3.0), (-1.0, 0.5)],
                     [4, 0, 5, 1, 6, 2, 7, 3]))
