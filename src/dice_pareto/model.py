@@ -52,8 +52,7 @@ these bit for bit to the step kernels of ``tests/oracle.py``, from
 The cost of a table's loop is numpy's per-call dispatch, not arithmetic: an
 operation on a short array costs about 0.5 us, whatever its length, or twice
 that when an operand broadcasts a (k, 1) column or strides (0.06 us on numpy
-scalars, 0.02 us on Python floats). A table's step makes 17 array calls (46
-before the stacking, 25 before the workspace, 22 before the row layout below),
+scalars, 0.02 us on Python floats). A table's step makes 17 array calls,
 each on C-contiguous blocks of whole rows or on 0-d constants, written through
 a prebuilt view with ``out``, with the ufuncs read from locals. Calls of one
 form run on stacked rows, laid out so that each operand is one block:
@@ -232,11 +231,9 @@ class _Exogenous(NamedTuple):
     """The policy-independent paths of one ``ModelParams``.
 
     State paths hold indices 0..H and step paths 0..H-1. When step k fails
-    (its terms or advancing the exogenous states past state k), the state
-    paths stop at k, the step paths hold step k only if its terms were
-    computed, and ``failure`` holds the error message. The recursion then
-    fails at step k, after that step's economy where it could be computed,
-    just where a one-step-at-a-time recursion would fail.
+    (its terms or advancing the exogenous states past state k), every path
+    is empty and ``failure`` holds (k, the error message), which ``_terms``
+    raises before step 0: no policy can mend the parameter set.
     """
 
     L: tuple[float, ...]
@@ -246,8 +243,8 @@ class _Exogenous(NamedTuple):
     theta1: tuple[float, ...]
     labour: tuple[float, ...]     # labour_factor(L)
     forcing: tuple[float, ...]    # exogenous_forcing
-    failure: str | None
-    columns: np.ndarray           # (4, steps, 1): theta1, sigma, L and discount_factor
+    failure: tuple[int, str] | None
+    columns: np.ndarray           # (4, H, 1): theta1, sigma, L and discount_factor
 
 
 def _read_only(values) -> np.ndarray:
@@ -260,37 +257,30 @@ def _read_only(values) -> np.ndarray:
 def _exogenous(p: ModelParams) -> _Exogenous:
     """Compute, once per parameter set, every path the policy cannot move."""
     L, A, sigma, E_Land = [p.L0], [p.A0], [p.sigma0], [p.E_L0]
-    terms = []  # (theta1, labour, forcing, discount) of each step
-    failure = None
+    theta1, labour, forcing, discount = [], [], [], []
     for i in range(p.H):
-        computed = []  # the step's four terms, then the four advanced states
-        try:
-            for name, f, *args in (
-                    ("mitigation cost coefficient", mitigation_cost_theta1, sigma[i], i, p),
-                    ("labour factor", labour_factor, L[i], p),
-                    ("exogenous forcing", exogenous_forcing, i, p),
-                    ("discount factor", discount_factor, i, p),
-                    ("population", step_population, L[i], p),
-                    ("TFP", step_tfp, A[i], i, p),
-                    ("emission intensity", step_emission_intensity, sigma[i], i, p),
-                    ("land-use emissions", land_emissions, i + 1, p)):
-                computed.append(f(*args))
+        try:  # the step's four terms, then the four states after it
+            for path, name, f, *args in (
+                    (theta1, "mitigation cost coefficient", mitigation_cost_theta1, sigma[i], i, p),
+                    (labour, "labour factor", labour_factor, L[i], p),
+                    (forcing, "exogenous forcing", exogenous_forcing, i, p),
+                    (discount, "discount factor", discount_factor, i, p),
+                    (L, "population", step_population, L[i], p),
+                    (A, "TFP", step_tfp, A[i], i, p),
+                    (sigma, "emission intensity", step_emission_intensity, sigma[i], i, p),
+                    (E_Land, "land-use emissions", land_emissions, i + 1, p)):
+                path.append(f(*args))
         except ModelDomainError as exc:
             failure = str(exc)
         except OverflowError:  # a float overflow counts as a domain error
             failure = f"arithmetic overflow in the {name}"
-        if len(computed) >= 4:
-            terms.append(computed[:4])
-        if failure is not None:
-            break
-        for state, value in zip((L, A, sigma, E_Land), computed[4:]):
-            state.append(value)
-    theta1, labour, forcing, discount = tuple(zip(*terms)) or ((),) * 4
-    steps = len(terms)
+        else:
+            continue
+        return _Exogenous(*((),) * 7, failure=(i, failure), columns=np.empty((4, 0, 1)))
     return _Exogenous(
-        L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=theta1,
-        labour=labour, forcing=forcing, failure=failure,
-        columns=_read_only([theta1, sigma[:steps], L[:steps], discount])[..., None],
+        L=tuple(L), A=tuple(A), sigma=tuple(sigma), E_Land=tuple(E_Land), theta1=tuple(theta1),
+        labour=tuple(labour), forcing=tuple(forcing), failure=None,
+        columns=_read_only([theta1, sigma[:-1], L[:-1], discount])[..., None],
     )
 
 
@@ -324,23 +314,29 @@ class _Terms(NamedTuple):
     ex: _Exogenous
     columns: np.ndarray    # theta1, sigma, L and discount factor: ``_Exogenous.columns``
     mu: np.ndarray         # the clipped mu, then the floored C and its utility U
-    policy: np.ndarray     # (steps, 4) + shape: xi2 (a table's step reads it), then
+    policy: np.ndarray     # (H, 4) + shape: xi2 (a table's step reads it), then
     s: np.ndarray          # the saving rate, the kept share 1 - Lambda and the
     kept: np.ndarray       # residual intensity sigma * (1 - mu), whose rows these
     residual: np.ndarray   # three views are
-    welfare: np.ndarray    # (steps + 1,) + shape: 0, then each step's U / discount
+    welfare: np.ndarray    # (H + 1,) + shape: 0, then each step's U / discount
     theta2: np.ndarray     # 0-d
     one_minus_alpha: np.ndarray  # 0-d
 
 
 def _terms(p: ModelParams, shape: tuple[int, ...]) -> _Terms:
-    """New ``_Terms`` of ``p`` for one genome (``shape`` ()) or n rows ((n,))."""
+    """New ``_Terms`` of ``p`` for one genome (``shape`` ()) or n rows ((n,)).
+
+    A parameter set whose policy-independent paths fail raises their
+    failure here, before any array is built or step run.
+    """
     ex = _exogenous(p)
-    steps = len(ex.theta1)
-    policy = np.empty((steps, 4) + shape)
-    welfare = np.empty((steps + 1,) + shape)
+    if ex.failure is not None:
+        step, message = ex.failure
+        _fail(step, 0 if shape else None, message)
+    policy = np.empty((p.H, 4) + shape)
+    welfare = np.empty((p.H + 1,) + shape)
     welfare[0] = 0.0
-    return _Terms(ex, ex.columns if shape else ex.columns[..., 0], np.empty((steps,) + shape),
+    return _Terms(ex, ex.columns if shape else ex.columns[..., 0], np.empty((p.H,) + shape),
                   policy, *policy.swapaxes(0, 1)[1:], welfare,
                   *map(_read_only, (p.theta2, 1.0 - p.alpha)))
 
@@ -459,8 +455,8 @@ class _Workspace(NamedTuple):
     the loop reads it has written earlier in the same call.
     """
 
-    terms: _Terms          # the policy terms (policy: (steps, 4, n)) and welfare rows
-    history: np.ndarray    # (steps + 1, 15, n), see ``_BOX``
+    terms: _Terms          # the policy terms (policy: (H, 4, n)) and welfare rows
+    history: np.ndarray    # (H + 1, 15, n), see ``_BOX``
     shared: _Shared        # views of the shared rows and 0-d constants
     steps: tuple[tuple[np.ndarray, ...], ...]  # what step i reads, in the loop's order
 
@@ -472,12 +468,11 @@ def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
     the least recently used dropped first."""
     terms = _terms(p, (n,))
     ex, policy = terms.ex, terms.policy
-    steps = len(ex.theta1)
-    history = np.empty((steps + 1, len(_BOX), n))
+    history = np.empty((p.H + 1, len(_BOX), n))
     history[0, :6] = np.reshape((p.M_LO0, p.T_LO0, p.M_UP0, p.M_AT0, p.K0, p.T_AT0), (6, 1))
-    history[:steps, 6:8] = np.transpose((ex.A[:steps], ex.forcing))[..., None]
+    history[:-1, 6:8] = np.transpose((ex.A[:-1], ex.forcing))[..., None]
     history[:, 10], history[:, 14] = p.F_2x, -0.0
-    history[:steps, 11] = np.reshape(ex.labour, (-1, 1))
+    history[:-1, 11] = np.reshape(ex.labour, (-1, 1))
     policy[:, 0] = p.xi2
     rows = np.empty((58, n))  # the shared rows, see the module docstring
     rows[0], rows[34:36] = 1.0, -0.0
@@ -493,7 +488,7 @@ def _workspace(p: ModelParams, n: int, thread: int) -> _Workspace:
         shared=_Shared(*views, *map(_read_only, (p.gamma, p.M_AT_1750, 1.0))),
         steps=tuple(zip(boxes, boxes[:, 3], boxes[:, 12], boxes[:, 5:7], boxes[:, 8:10],
                         boxes[:, 9:11], boxes[:, 11:13], boxes[:, 7:9], policy[:, 2:],
-                        map(_read_only, ex.E_Land[:steps]), policy[:, :2], boxes[:, 13],
+                        map(_read_only, ex.E_Land), policy[:, :2], boxes[:, 13],
                         history[1:, :6])))
 
 
@@ -558,9 +553,8 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     subtract, multiply, divide, power = np.subtract, np.multiply, np.divide, np.power
     # the genes clipped to [0, 1], then the residual intensity sigma * (1 - mu)
     # and the kept share 1 - abatement_fraction, each in its formula's order
-    steps = len(mu)
-    genomes[..., :steps].T.clip(0.0, 1.0, mu)
-    genomes[..., p.H:p.H + steps].T.clip(0.0, 1.0, s)
+    genomes[..., :p.H].T.clip(0.0, 1.0, mu)
+    genomes[..., p.H:].T.clip(0.0, 1.0, s)
     subtract(1.0, mu, residual)
     multiply(sigma, residual, residual)
     power(mu, theta2, kept)
@@ -572,8 +566,6 @@ def _recursion(genomes: np.ndarray, p: ModelParams) -> _Run:
     # mu is spent, so its rows take the floored C; the history keeps C as
     # computed, so a trajectory shows C = 0 at s = 1
     U = _checked_consumption(rows[:, k], rows[:, m], rows[:, c], mu)
-    if ex.failure is not None:
-        _fail(len(ex.L) - 1, 0 if shape else None, ex.failure)
     T_max = history[:, t].max(axis=0)
     # utility L * ((1000 * C / L) ** (1 - alpha) - 1) / (1 - alpha), in this order
     multiply(1000.0, U, U)

@@ -289,9 +289,8 @@ def policy_terms_reference(genomes, theta1, sigma, p):
     ``_Exogenous.columns`` in the rank of ``genomes``."""
     from dice_pareto.model import abatement_fraction
 
-    steps = len(theta1)
-    mu = np.clip(genomes[..., :steps].T, 0.0, 1.0)
-    s = np.clip(genomes[..., p.H:p.H + steps].T, 0.0, 1.0)
+    mu = np.clip(genomes[..., :p.H].T, 0.0, 1.0)
+    s = np.clip(genomes[..., p.H:].T, 0.0, 1.0)
     Lambda = abatement_fraction(mu, theta1, p)
     return np.subtract(1.0, Lambda, out=Lambda), s, residual_intensity(sigma, mu)
 
@@ -301,16 +300,16 @@ def table_steps_reference(ex, kept, s, residual, p):
     every kernel reads Python-float parameters from ``p`` and the step's
     exogenous terms from the cached tuples, and each box of the history is
     indexed per step. Like ``model._table_steps`` it returns a
-    (steps + 1, len(_BOX), n) history holding the states and C in the rows
+    (H + 1, len(_BOX), n) history holding the states and C in the rows
     that ``model._BOX`` names."""
     from dice_pareto.model import _BOX
 
-    steps, n = kept.shape
+    n = kept.shape[1]
     coefficients = np.repeat(linear_coefficients(p)[:, None], n, axis=1)
-    history = np.empty((steps + 1, 11, n))
+    history = np.empty((p.H + 1, 11, n))
     history[0, :6] = np.reshape((p.K0, p.M_AT0, p.M_UP0, p.M_LO0, p.T_AT0, p.T_LO0), (6, 1))
     history[:, 9] = -0.0
-    for i in range(steps):
+    for i in range(p.H):
         box = history[i]
         K, M_AT, T_AT = box[0], box[1], box[4]
         Y = gross_output(ex.A[i], K, ex.labour[i], p)
@@ -324,7 +323,7 @@ def table_steps_reference(ex, kept, s, residual, p):
         out = history[i + 1, :6]
         np.add(terms[:6], terms[6:12], out=out)
         np.add(out, terms[12:], out=out)
-    table = np.full((steps + 1, len(_BOX), n), np.nan)
+    table = np.full((p.H + 1, len(_BOX), n), np.nan)
     for column, name in enumerate(("K", "M_AT", "M_UP", "M_LO", "T_AT", "T_LO")):
         table[:, _BOX.index(name)] = history[:, column]
     table[:-1, _BOX.index("C")] = history[:-1, 10]
@@ -340,6 +339,9 @@ def batch_reference(genomes, p):
     from dice_pareto.model import _READS, _checked_consumption, _exogenous, _fail
 
     ex = _exogenous(p)
+    if ex.failure is not None:
+        step, message = ex.failure
+        _fail(step, 0, message)
     theta1, sigma, L, discount = ex.columns
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         history = table_steps_reference(
@@ -347,8 +349,6 @@ def batch_reference(genomes, p):
         k, m, t, c = _READS[1]
         steps = history[:-1]
         C = _checked_consumption(steps[:, k], steps[:, m], steps[:, c])
-        if ex.failure is not None:
-            _fail(len(ex.L) - 1, 0, ex.failure)
         T_max = history[:, t].max(axis=0)
         terms = np.zeros((len(L) + 1, len(genomes)))
         np.divide(utility(C, L, p), discount, out=terms[1:])
@@ -393,12 +393,13 @@ def simulate_reference(policy, p):
     from dice_pareto.model import _exogenous, _fail, abatement_fraction
 
     ex = _exogenous(p)
+    if ex.failure is not None:
+        step, message = ex.failure
+        _fail(step, None, message)
     theta1, sigma, L, discount = ex.columns[..., 0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         C, T_max, states, flows = genome_steps_reference(
             ex, *policy_terms_reference(policy.to_genome(), theta1, sigma, p), p)
-        if ex.failure is not None:
-            _fail(len(ex.L) - 1, None, ex.failure)
         U = utility(C, L, p)
         terms = np.zeros(len(L) + 1)
         np.divide(U, discount, out=terms[1:])

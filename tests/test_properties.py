@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle import (
@@ -161,11 +161,12 @@ SIGNED_ZERO_T_AT = ModelParams(T_AT0=0.0, T_LO0=-1.0, xi1=0.0, phi11=-0.5, phi12
 
 # gamma = 0.5 and 2 take numpy's sqrt and square fast paths for K ** gamma;
 # psi1 = 0 is the default; p_b = 20000, zeta11 = -1 and gamma = 1.5 make rows
-# fail in K, M_AT and C; rho = 1000 stops the exogenous paths at step 21; in
-# SIGNED_ZERO_T_AT the peak is a tie of +0.0 and -0.0. The last four guard
-# the operations that Python floats do not take as numpy scalars do: a zero
-# damage divisor at step 0 (1 + psi1 T_AT0 = 0), a negative and a zero
-# gamma, and K = 0 at step 1 under a negative gamma (delta_K = 1 and s = 0)
+# fail in K, M_AT and C; rho = 1000 overflows a discount factor at step 21,
+# so every run fails before step 0; in SIGNED_ZERO_T_AT the peak is a tie of
+# +0.0 and -0.0. The last four guard the operations that Python floats do
+# not take as numpy scalars do: a zero damage divisor at step 0 (1 + psi1
+# T_AT0 = 0), a negative and a zero gamma, and K = 0 at step 1 under a
+# negative gamma (delta_K = 1 and s = 0)
 TABLE_LOOP_CALIBRATIONS = [ModelParams(), ModelParams(gamma=0.5), ModelParams(gamma=2.0),
                            ModelParams(psi1=0.05), DISTINCT, ModelParams(p_b=20000.0),
                            ModelParams(zeta11=-1.0), ModelParams(gamma=1.5),
@@ -240,16 +241,26 @@ def test_workspaces_are_reused_and_bounded():
     assert model._workspace.cache_info().currsize == bound
 
 
-@pytest.mark.parametrize("p", [ModelParams(), ModelParams(rho=1000.0)], ids=["default", "short"])
-def test_a_table_step_reads_whole_rows_or_0d_constants(p):
+def test_a_table_step_reads_whole_rows_or_0d_constants():
     # a (k, 1) column broadcasts and a strided view strides, each at about
     # twice the cost of a call on contiguous rows
-    n, ex = 3, model._exogenous(p)
+    p, n = ModelParams(), 3
     ws = model._workspace(p, n, threading.get_ident())
-    assert len(ws.steps) == len(ex.theta1)  # 21 steps when the paths stop early
+    assert len(ws.steps) == p.H
     for views in (ws.shared, *ws.steps):
         for a in views:
             assert a.ndim == 0 or (a.flags.c_contiguous and a.shape[-1] == n), a.shape
+
+
+def test_a_failing_parameter_set_builds_no_workspace():
+    # rho = 1000 overflows the discount factor of step 21: the call raises
+    # before step 0, and nothing is built or cached for the parameter set
+    p = ModelParams(rho=1000.0)
+    model._workspace.cache_clear()
+    for n in (1, 3):
+        with pytest.raises(ModelDomainError, match="^step 21, row 0: arithmetic overflow"):
+            evaluate_batch(np.full((n, 2 * p.H), 0.5), p)
+    assert model._workspace.cache_info().currsize == 0
 
 
 def test_a_warm_call_allocates_no_history():
@@ -280,8 +291,9 @@ GENOME_STEPS = model._genome_steps
 
 def strictly(run, policy, p):
     """``run(policy, p)`` with every warning raised as an error, checking
-    that its step loop returned a float64 history (a complex power would
-    make it complex128)."""
+    that its step loop ran once and returned a float64 history (a complex
+    power would make it complex128), or never ran when the policy-independent
+    paths of ``p`` fail."""
     histories = []
 
     def steps(*args):
@@ -293,7 +305,8 @@ def strictly(run, policy, p):
         try:
             return run(policy, p)
         finally:
-            assert [history.dtype for history in histories] == [np.float64]
+            runs = 0 if model._exogenous(p).failure else 1
+            assert [history.dtype for history in histories] == [np.float64] * runs
 
 
 @settings(max_examples=160, deadline=None)
@@ -374,6 +387,43 @@ def test_full_mitigation_peaks_at_the_floor_for_any_saving_rates(genomes):
         genomes[:, P.H:] = s
         peaks = evaluate_batch(genomes, P)[:, 1]
         assert peaks.tobytes() == np.full(len(genomes), T_MAX_FLOOR).tobytes()
+
+
+# what the drawn calibrations scale from the default by factors in [0, 2]:
+# the carbon, forcing and climate coefficients, which the floor argument
+# above needs non-negative, and the damage, output, emission-intensity,
+# land-use and non-CO2 forcing terms
+FLOOR_SCALED = ("zeta11", "zeta12", "zeta21", "zeta22", "zeta23", "zeta32", "zeta33", "phi11",
+                "phi12", "phi21", "phi22", "xi1", "xi2", "F_2x", "psi1", "psi2", "gamma", "E_L0",
+                "g_sigma", "sigma0", "f0", "f1")
+
+
+@st.composite
+def floor_tables(draw):
+    """A drawn calibration (H in 1..59, each of ``FLOOR_SCALED`` scaled,
+    delta_EL anywhere in [0, 1] so that land-use emissions stay
+    non-negative) and a table of its genomes: row 0 is mu = 1, the other
+    rows are drawn from the box."""
+    factors = {name: draw(st.floats(0.0, 2.0)) for name in FLOOR_SCALED}
+    try:
+        p = ModelParams(H=draw(st.integers(1, 59)), delta_EL=draw(st.floats(0.0, 1.0)),
+                        **{name: getattr(P, name) * f for name, f in factors.items()})
+    except ConfigError:
+        assume(False)
+    genomes = draw(arrays(float, (draw(st.integers(2, 8)), 2 * p.H), elements=st.floats(0.0, 1.0)))
+    genomes[0, :p.H] = 1.0
+    return p, genomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(floor_tables())
+def test_no_genome_peaks_below_full_mitigation_on_drawn_calibrations(case):
+    p, genomes = case
+    try:
+        peaks = evaluate_batch(genomes, p)[:, 1]
+    except ModelDomainError:
+        assume(False)
+    assert (peaks >= peaks[0]).all(), peaks
 
 
 def first_failure(K, M_AT, C):

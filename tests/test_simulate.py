@@ -146,6 +146,20 @@ class TestEvaluateBatch:
                 evaluate_batch(genomes, p)
         assert exc.value.row == row
 
+    def test_a_failing_parameter_set_fails_before_any_policy_does(self):
+        # the capital case above runs out of capital at step 2, but rho = 1000
+        # also overflows the discount factor of step 21, which no policy mends
+        p = ModelParams(p_b=20000.0, rho=1000.0)
+        failing = constant_policy(0.9, 0.2)
+        message = "arithmetic overflow in the discount factor"
+        for run in (simulate, evaluate_policy):
+            with pytest.raises(ModelDomainError, match=f"^step 21: {message}$") as exc:
+                run(failing, p)
+            assert exc.value.row is None
+        with pytest.raises(ModelDomainError, match=f"^step 21, row 0: {message}$") as exc:
+            evaluate_batch(np.tile(failing.to_genome(), (2, 1)), p)
+        assert exc.value.row == 0
+
     def test_rates_outside_the_unit_interval_are_clipped(self):
         genomes = np.stack([np.full(2 * P.H, 1.7), np.full(2 * P.H, -0.3)])
         clipped = np.stack([np.ones(2 * P.H), np.zeros(2 * P.H)])
